@@ -110,7 +110,9 @@ class GradedElement:
 
     def __post_init__(self) -> None:
         width = self.model.top_degree + 1
-        coeffs = tuple(coerce(c) for c in self.coeffs)
+        # coefficient tuples are built from lists, not generators: see the
+        # note on tuple free lists in superbundle
+        coeffs = tuple([coerce(c) for c in self.coeffs])
         if len(coeffs) > width:
             raise ValueError(
                 f"{len(coeffs)} coefficients exceed top degree {width - 1}"
@@ -171,17 +173,17 @@ class GradedElement:
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check_model(other)
         return _raw(
-            self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.model, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         self._check_model(other)
         return _raw(
-            self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+            self.model, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     def __neg__(self) -> "GradedElement":
-        return _raw(self.model, tuple(-a for a in self.coeffs))
+        return _raw(self.model, tuple([-a for a in self.coeffs]))
 
     def ring_mul(self, other: "GradedElement") -> "GradedElement":
         """Product in the truncated ring (convolution of coefficients)."""
@@ -202,7 +204,7 @@ class GradedElement:
         value = coerce(value)
         if not value.soul and value.body == 1:
             return self
-        return _raw(self.model, tuple(a * value for a in self.coeffs))
+        return _raw(self.model, tuple([a * value for a in self.coeffs]))
 
     def __mul__(self, other: "GradedElement | CoeffLike") -> "GradedElement":
         if isinstance(other, GradedElement):

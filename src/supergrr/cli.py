@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
 
     check = sub.add_parser("grr-check", help="randomized Riemann-Roch identity sweep")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--cases", type=int, default=1000)
+    check.add_argument("--cases", type=_case_count, default=1000)
     check.add_argument("--json", action="store_true")
 
     table = sub.add_parser("table", help="sweep parameter ranges to CSV")
@@ -94,10 +94,21 @@ def build_parser() -> _Parser:
 
     ident = sub.add_parser("identities", help="characteristic-class identity suites")
     ident.add_argument("--seed", type=int, default=0)
-    ident.add_argument("--cases", type=int, default=500)
+    ident.add_argument("--cases", type=_case_count, default=500)
     ident.add_argument("--json", action="store_true")
 
     return parser
+
+
+def _case_count(text: str) -> int:
+    """A run that checks nothing is refused: the count must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:

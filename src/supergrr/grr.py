@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
 from .ktheory import NormalData
-from .superbundle import SuperBundle, root_degree
+from .superbundle import SuperBundle
 from .superscalar import SuperScalar
 
 
@@ -114,9 +114,9 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     _check_curve_bundle(curve, bundle)
     if curve.deg_l.denominator != 1:
         raise NonIntegralTwist(f"twist degree {curve.deg_l} is not an integer")
-    shift = GradedElement.monomial(curve.model, 1, curve.deg_l)
-    even = bundle.even_roots + tuple(r + shift for r in bundle.odd_roots)
-    odd = bundle.odd_roots + tuple(r + shift for r in bundle.even_roots)
+    shift = curve.deg_l
+    even = (*bundle.even_degs, *(m + shift for m in bundle.odd_degs))
+    odd = (*bundle.odd_degs, *(a + shift for a in bundle.even_degs))
     return SuperBundle(curve.model, even, odd)
 
 
@@ -143,10 +143,8 @@ def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
     """
     graded = gr_module(curve, bundle)
     one_minus_g = 1 - curve.genus
-    chi_even = sum((root_degree(r) for r in graded.even_roots), Fraction(0))
-    chi_even += len(graded.even_roots) * one_minus_g
-    chi_odd = sum((root_degree(r) for r in graded.odd_roots), Fraction(0))
-    chi_odd += len(graded.odd_roots) * one_minus_g
+    chi_even = sum(graded.even_degs, Fraction(0)) + len(graded.even_degs) * one_minus_g
+    chi_odd = sum(graded.odd_degs, Fraction(0)) + len(graded.odd_degs) * one_minus_g
     return SuperEuler(SuperScalar(chi_even, -chi_odd))
 
 

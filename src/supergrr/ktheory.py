@@ -3,18 +3,24 @@
 On the bosonic reductions in scope the Chern character is injective, so
 a K-class is stored faithfully as a graded element.  The embedding of
 the bosonic reduction X into the ambient superscheme contributes the
-purely odd conormal data N*; its class
+purely odd conormal data N*, stored as the degrees nu_j of its roots;
+its class
 
-    sigma_1(N*) = prod_j (1 + e**nu_j)
+    sigma_1(N*) = prod_j (1 + e**nu_j) = 2**s * exp(sum_k upsilon'_k p_k(nu) x**k)
 
 has invertible leading coefficient 2**s and twists everything: the map
 j multiplies by sigma_1(N*), the star product divides one copy back
-out, and the twisted character ch_S divides by sigma_1(N*).
+out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
+is the same closed form with the exponent negated and 2**-s in front
+(see superbundle), so no series inversion is needed.  Both classes are
+memoised per normal datum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
 from .superbundle import SuperBundle
@@ -23,15 +29,16 @@ from .superscalar import SuperScalar
 
 @dataclass(frozen=True, slots=True)
 class NormalData:
-    """Bosonic roots of the parity-shifted conormal sheaf of X in the ambient superscheme."""
+    """Bosonic root degrees of the parity-shifted conormal sheaf of X in the ambient superscheme."""
 
     model: ChowModel
-    normal_roots: tuple[GradedElement, ...]
+    normal_degs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normal_roots", tuple(self.normal_roots))
-        # reuse the root validation of the purely odd conormal bundle
-        self.conormal_bundle()
+        # the purely odd conormal bundle parses the degrees (or validates roots)
+        object.__setattr__(
+            self, "normal_degs", SuperBundle(self.model, (), self.normal_degs).odd_degs
+        )
 
     @classmethod
     def bosonic(cls, model: ChowModel) -> "NormalData":
@@ -40,12 +47,16 @@ class NormalData:
 
     @classmethod
     def from_degrees(cls, model: ChowModel, degrees) -> "NormalData":
-        bundle = SuperBundle.from_degrees(model, (), degrees)
-        return cls(model, bundle.odd_roots)
+        """Normal data from a list of exact degrees (int, Fraction or "p/q")."""
+        return cls(model, degrees)
+
+    @property
+    def normal_roots(self) -> tuple[GradedElement, ...]:
+        return self.conormal_bundle().odd_roots
 
     def conormal_bundle(self) -> SuperBundle:
         """N* as a purely odd bundle (rank 0|s)."""
-        return SuperBundle(self.model, (), self.normal_roots)
+        return SuperBundle(self.model, (), self.normal_degs)
 
     def normal_bundle(self) -> SuperBundle:
         return self.conormal_bundle().dual()
@@ -53,7 +64,7 @@ class NormalData:
     def to_json(self) -> dict:
         return {
             "model": self.model.to_json(),
-            "normal_roots": [str(c.coefficient(1).body) for c in self.normal_roots],
+            "normal_roots": [str(d) for d in self.normal_degs],
         }
 
     @classmethod
@@ -97,9 +108,16 @@ def _check_model(x_model: ChowModel, nd: NormalData) -> None:
         raise ModelMismatch(f"{x_model} vs {nd.model}")
 
 
+@lru_cache(maxsize=16)
+def _sigma1_classes(nd: NormalData) -> tuple[GradedElement, GradedElement]:
+    """sigma_1(N*) and its inverse, shared by every call on the same normal data."""
+    conormal = nd.conormal_bundle()
+    return conormal.sigma1(), conormal.sigma1_inverse()
+
+
 def sigma1_normal(nd: NormalData) -> GradedElement:
     """sigma_1(N*) = prod (1 + e**nu_j); equals 1 on a bosonic ambient space."""
-    return nd.conormal_bundle().sigma1()
+    return _sigma1_classes(nd)[0]
 
 
 def j_map(x: KClass, nd: NormalData) -> KClass:
@@ -113,7 +131,7 @@ def star_product(x: KClass, y: KClass, nd: NormalData) -> KClass:
     _check_model(x.model, nd)
     _check_model(y.model, nd)
     product = x.ch_image.ring_mul(y.ch_image)
-    return KClass(product.ring_mul(sigma1_normal(nd).series_invert()))
+    return KClass(product.ring_mul(_sigma1_classes(nd)[1]))
 
 
 def star_identity(nd: NormalData) -> KClass:
@@ -123,7 +141,7 @@ def star_identity(nd: NormalData) -> KClass:
 def ch_twisted(x: KClass, nd: NormalData) -> GradedElement:
     """Twisted character ch_S(x) = ch(x . sigma_1(N*)**-1)."""
     _check_model(x.model, nd)
-    return x.ch_image.ring_mul(sigma1_normal(nd).series_invert())
+    return x.ch_image.ring_mul(_sigma1_classes(nd)[1])
 
 
 def pullback_from_point(value: SuperScalar, nd: NormalData) -> KClass:

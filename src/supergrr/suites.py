@@ -16,7 +16,7 @@ from . import ktheory
 from .chowring import ChowModel, GradedElement
 from .grr import SplitSupercurve, chi_character_form, chi_super, rr_oracle
 from .ktheory import KClass, NormalData
-from .superbundle import SuperBundle, root_degree
+from .superbundle import SuperBundle
 from .superscalar import PI, SuperScalar, pi_power
 
 
@@ -254,7 +254,7 @@ def run_sgrr_sweep(seed: int, cases: int) -> SuiteResult:
         via_character = chi_character_form(curve, bundle)
         oracle = rr_oracle(curve, bundle)
         if not (via_integral == oracle and via_character == oracle):
-            size = sum(abs(root_degree(r)) for r in bundle.even_roots + bundle.odd_roots)
+            size = sum(abs(d) for d in bundle.even_degs + bundle.odd_degs)
             result.failures.append(
                 f"case {index} (size {size}): g={curve.genus} deg_l={curve.deg_l} "
                 f"{bundle}: integral {via_integral}, character {via_character}, "

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from supergrr.cli import CSV_COLUMNS, main
 
 
@@ -171,6 +173,33 @@ def test_chi_rejects_mismatched_model(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        '{"even_degs": "12"}',
+        '{"even_degs": [0.1]}',
+        '{"even_degs": [true]}',
+        '{"even_degs": [null]}',
+        '{"even_degs": ["1/0"]}',
+    ],
+    ids=["string-list", "float", "bool", "null", "zero-denominator"],
+)
+def test_chi_rejects_inexact_degrees(capsys, bundle):
+    code, out, err = run_cli(capsys, "chi", "--g", "1", "--bundle", bundle)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_chi_accepts_fraction_strings(capsys):
+    code, out, _ = run_cli(
+        capsys, "chi", "--g", "1", "--bundle", '{"even_degs": ["-3/4", 2], "odd_degs": ["1/2"]}'
+    )
+    assert code == 0
+    assert json.loads("\n".join(out.splitlines()[1:]))["match"] is True
+
+
 # -- grr-check ----------------------------------------------------------------------
 
 
@@ -217,6 +246,15 @@ def test_grr_check_deterministic(capsys):
     first = run_cli(capsys, "grr-check", "--seed", "3", "--cases", "25", "--json")
     second = run_cli(capsys, "grr-check", "--seed", "3", "--cases", "25", "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("subcommand", ["grr-check", "identities"])
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_runs_that_check_nothing_are_refused(capsys, subcommand, cases):
+    code, out, err = run_cli(capsys, subcommand, "--cases", cases)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --cases: must be at least 1, got {cases}\n"
 
 
 # -- identities -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from supergrr import (
     ChowModel,
     GradedElement,
     ModelMismatch,
+    NormalData,
     NotPurelyOdd,
     PI,
     SuperBundle,
@@ -299,6 +300,34 @@ def test_json_curve_shorthand():
 def test_json_shorthand_with_model():
     spec = {"model": {"kind": "curve", "genus": 2}, "even_degs": [1], "odd_degs": []}
     assert SuperBundle.from_json(spec) == SuperBundle.from_degrees(C2, (1,), ())
+
+
+@pytest.mark.parametrize(
+    "degs", ["12", [0.1], [True], [None], ["1/0"], [[3]], ["1.5"], [" 3"]], ids=repr
+)
+def test_degrees_must_be_exact(degs):
+    with pytest.raises(ValueError):
+        SuperBundle.from_degrees(C2, degs, ())
+    with pytest.raises(ValueError):
+        SuperBundle.from_json({"odd_degs": degs}, default_model=C2)
+    with pytest.raises(ValueError):
+        NormalData.from_degrees(C2, degs)
+
+
+def test_degree_strings_read_exactly():
+    E = SuperBundle.from_degrees(C2, ["-3/4", "+2", 5], [Fraction(1, 3)])
+    assert E.even_degs == (Fraction(-3, 4), Fraction(2), Fraction(5))
+    assert E.odd_degs == (Fraction(1, 3),)
+    assert SuperBundle.from_json(E.to_json()) == E
+
+
+def test_root_views_match_degrees():
+    E = SuperBundle.from_degrees(P3, (1, "-1/2"), (3,))
+    assert E.even_roots == (
+        GradedElement.monomial(P3, 1, 1),
+        GradedElement.monomial(P3, 1, Fraction(-1, 2)),
+    )
+    assert SuperBundle(P3, E.even_roots, E.odd_roots) == E
 
 
 def test_json_requires_model_somewhere():
