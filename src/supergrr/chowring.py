@@ -1,11 +1,22 @@
-"""Truncated graded rings with Q[P] coefficients.
+"""Truncated graded rings with Q[P] coefficients, computed over Q x Q.
 
 Three models cover everything downstream: a point, a smooth projective
 curve of genus g (basis 1, w with w**2 = 0 and integral(w) = 1), and a
 projective space of dimension r (basis 1, h, ..., h**r with h**(r+1) = 0
-and integral(h**r) = 1).  Elements are stored as one coefficient per
-degree; products silently truncate above the top degree, which is exact
-rather than approximate since those classes vanish.
+and integral(h**r) = 1).  Products silently truncate above the top
+degree, which is exact rather than approximate since those classes
+vanish.
+
+Since P**2 = 1, the idempotents (1 + P)/2 and (1 - P)/2 split Q[P] as
+Q x Q, so an element is stored as two plain rational coefficient vectors:
+its values at P = +1 and at P = -1.  Both are kept as integer numerators
+over one shared positive denominator, reduced so that the gcd of all
+numerators and the denominator is 1.  That form is canonical, so == and
+hash compare it field by field; the product is two integer convolutions
+and one gcd reduction.  The SuperScalar coefficient of degree k,
+body = (x+ + x-)/2 and soul = (x+ - x-)/2, is rebuilt only at the
+boundary (coeffs, coefficient, integrate, str and JSON).  A coefficient
+is a zero divisor of Q[P] exactly when one of its two values vanishes.
 
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs
@@ -16,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence, Union
 
-from .superscalar import ONE, ZERO, SuperScalar, coerce
+from .superscalar import ZERO, SuperScalar, coerce, parse_int
 
 CoeffLike = Union[SuperScalar, int, Fraction]
 
@@ -91,61 +103,94 @@ class ChowModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChowModel":
-        kind = obj["kind"]
+        if not isinstance(obj, dict):
+            raise ValueError(f"a model is a JSON object with a kind, not {obj!r}")
+        kind = obj.get("kind")
         if kind == "point":
             return cls.point()
         if kind == "curve":
-            return cls.curve(int(obj["genus"]))
+            return cls.curve(parse_int(obj["genus"], "genus"))
         if kind == "projspace":
-            return cls.proj_space(int(obj["r"]))
+            return cls.proj_space(parse_int(obj["r"], "r"))
         raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class GradedElement:
-    """Ring element stored as per-degree SuperScalar coefficients."""
+    """Ring element stored by its values at P = +1 and P = -1.
+
+    The degree-k coefficient is plus[k] / denominator at P = +1 and
+    minus[k] / denominator at P = -1, with integer numerators, one per
+    degree 0..top, and denominator > 0 sharing no factor with all of
+    them.  Build elements with from_coeffs, from_split or the named
+    constructors, which reduce to that canonical form.
+    """
 
     model: ChowModel
-    coeffs: tuple[SuperScalar, ...]
-
-    def __post_init__(self) -> None:
-        width = self.model.top_degree + 1
-        # coefficient tuples are built from lists, not generators: see the
-        # note on tuple free lists in superbundle
-        coeffs = tuple([coerce(c) for c in self.coeffs])
-        if len(coeffs) > width:
-            raise ValueError(
-                f"{len(coeffs)} coefficients exceed top degree {width - 1}"
-            )
-        if len(coeffs) < width:
-            coeffs = coeffs + (ZERO,) * (width - len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    denominator: int
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_split(
+        cls,
+        model: ChowModel,
+        plus: Sequence[int],
+        minus: Sequence[int],
+        denominator: int = 1,
+    ) -> "GradedElement":
+        """The element with integer numerators plus and minus over denominator, reduced."""
+        width = model.top_degree + 1
+        if len(plus) != width or len(minus) != width:
+            raise ValueError(f"{model} needs {width} numerators per component")
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        common = gcd(denominator, *plus, *minus)
+        if common != 1:
+            plus = [x // common for x in plus]
+            minus = [x // common for x in minus]
+            denominator //= common
+        # tuples are built from lists, not generators: see the note on
+        # tuple free lists in superbundle
+        return cls(model, tuple(plus), tuple(minus), denominator)
+
+    @classmethod
     def from_coeffs(cls, model: ChowModel, coeffs: Iterable[CoeffLike]) -> "GradedElement":
-        return cls(model, tuple(coeffs))
+        """The element with the given per-degree coefficients, padded with zeros."""
+        values = [coerce(c) for c in coeffs]
+        width = model.top_degree + 1
+        if len(values) > width:
+            raise ValueError(f"{len(values)} coefficients exceed top degree {width - 1}")
+        values += [ZERO] * (width - len(values))
+        plus = [c.body + c.soul for c in values]
+        minus = [c.body - c.soul for c in values]
+        denominator = lcm(*[x.denominator for x in plus], *[x.denominator for x in minus])
+        return cls.from_split(
+            model,
+            [x.numerator * (denominator // x.denominator) for x in plus],
+            [x.numerator * (denominator // x.denominator) for x in minus],
+            denominator,
+        )
 
     @classmethod
     def zero(cls, model: ChowModel) -> "GradedElement":
-        return cls(model, ())
+        return cls.from_coeffs(model, ())
 
     @classmethod
     def one(cls, model: ChowModel) -> "GradedElement":
-        return cls(model, (ONE,))
+        return cls.from_coeffs(model, (1,))
 
     @classmethod
     def scalar(cls, model: ChowModel, value: CoeffLike) -> "GradedElement":
-        return cls(model, (coerce(value),))
+        return cls.from_coeffs(model, (value,))
 
     @classmethod
     def monomial(cls, model: ChowModel, degree: int, value: CoeffLike = 1) -> "GradedElement":
         if not 0 <= degree <= model.top_degree:
             raise ValueError(f"degree {degree} out of range for {model}")
-        coeffs = [ZERO] * (degree + 1)
-        coeffs[degree] = coerce(value)
-        return cls(model, tuple(coeffs))
+        return cls.from_coeffs(model, [0] * degree + [value])
 
     @classmethod
     def generator(cls, model: ChowModel) -> "GradedElement":
@@ -156,13 +201,20 @@ class GradedElement:
 
     # -- accessors --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[SuperScalar, ...]:
+        """The SuperScalar coefficients of degrees 0..top, rebuilt from the split form."""
+        return tuple([self.coefficient(k) for k in range(len(self.plus))])
+
     def coefficient(self, degree: int) -> SuperScalar:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return ZERO
+        if not 0 <= degree < len(self.plus):
+            return ZERO
+        plus, minus = self.plus[degree], self.minus[degree]
+        twice = 2 * self.denominator
+        return SuperScalar(Fraction(plus + minus, twice), Fraction(plus - minus, twice))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.plus) or any(self.minus)
 
     # -- ring structure ---------------------------------------------------
 
@@ -172,39 +224,46 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check_model(other)
-        return _raw(
-            self.model, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        denominator = lcm(self.denominator, other.denominator)
+        a = denominator // self.denominator
+        b = denominator // other.denominator
+        return GradedElement.from_split(
+            self.model,
+            [a * x + b * y for x, y in zip(self.plus, other.plus)],
+            [a * x + b * y for x, y in zip(self.minus, other.minus)],
+            denominator,
         )
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._check_model(other)
-        return _raw(
-            self.model, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        )
+        return self + -other
 
     def __neg__(self) -> "GradedElement":
-        return _raw(self.model, tuple([-a for a in self.coeffs]))
+        return GradedElement.from_split(
+            self.model, [-x for x in self.plus], [-x for x in self.minus], self.denominator
+        )
 
     def ring_mul(self, other: "GradedElement") -> "GradedElement":
-        """Product in the truncated ring (convolution of coefficients)."""
+        """Product in the truncated ring: one convolution per component."""
         self._check_model(other)
-        top = self.model.top_degree
-        rhs = other.coeffs
-        out = [ZERO] * (top + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(top - i + 1):
-                b = rhs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return _raw(self.model, tuple(out))
+        return GradedElement.from_split(
+            self.model,
+            _convolve(self.plus, other.plus),
+            _convolve(self.minus, other.minus),
+            self.denominator * other.denominator,
+        )
 
     def scale(self, value: CoeffLike) -> "GradedElement":
         value = coerce(value)
-        if not value.soul and value.body == 1:
-            return self
-        return _raw(self.model, tuple([a * value for a in self.coeffs]))
+        plus, minus = value.body + value.soul, value.body - value.soul
+        denominator = lcm(plus.denominator, minus.denominator)
+        p = plus.numerator * (denominator // plus.denominator)
+        m = minus.numerator * (denominator // minus.denominator)
+        return GradedElement.from_split(
+            self.model,
+            [p * x for x in self.plus],
+            [m * x for x in self.minus],
+            self.denominator * denominator,
+        )
 
     def __mul__(self, other: "GradedElement | CoeffLike") -> "GradedElement":
         if isinstance(other, GradedElement):
@@ -222,7 +281,7 @@ class GradedElement:
         positive degree, x**-1 = (1 + u + u**2 + ...) / x_0 exactly,
         since u**(top+1) truncates to zero.
         """
-        lead_inv = self.coeffs[0].invert()
+        lead_inv = self.coefficient(0).invert()
         one = GradedElement.one(self.model)
         u = one - self.scale(lead_inv)
         acc = one
@@ -234,30 +293,18 @@ class GradedElement:
 
     def exp_nilpotent(self) -> "GradedElement":
         """exp of a strictly positive-degree (hence nilpotent) element."""
-        if self.coeffs[0]:
-            raise NotNilpotent(f"degree-0 coefficient {self.coeffs[0]} is nonzero")
-        top = self.model.top_degree
-        if not any(self.coeffs[2:]):
-            # pure degree-1 input (the Chern-root case): exp is the row
-            # of powers c**k / k! on the generator powers
-            out = [ONE]
-            if top >= 1:
-                acc = self.coeffs[1]
-                out.append(acc)
-                for k in range(2, top + 1):
-                    acc = acc * _reciprocal(k) * self.coeffs[1]
-                    out.append(acc)
-            return _raw(self.model, tuple(out))
+        if self.plus[0] or self.minus[0]:
+            raise NotNilpotent(f"degree-0 coefficient {self.coefficient(0)} is nonzero")
         result = GradedElement.one(self.model)
-        term = GradedElement.one(self.model)
-        for k in range(1, top + 1):
-            term = term.ring_mul(self).scale(_reciprocal(k))
+        term = result
+        for k in range(1, self.model.top_degree + 1):
+            term = term.ring_mul(self).scale(Fraction(1, k))
             result = result + term
         return result
 
     def integrate(self) -> SuperScalar:
         """Pushforward to a point: the top-degree coefficient."""
-        return self.coeffs[self.model.top_degree]
+        return self.coefficient(self.model.top_degree)
 
     # -- rendering / serialization -----------------------------------------
 
@@ -289,18 +336,12 @@ class GradedElement:
     @classmethod
     def from_json(cls, obj: dict) -> "GradedElement":
         model = ChowModel.from_json(obj["model"])
-        coeffs = tuple(SuperScalar.from_json(c) for c in obj["coeffs"])
-        return cls(model, coeffs)
+        return cls.from_coeffs(model, [SuperScalar.from_json(c) for c in obj["coeffs"]])
 
 
-def _raw(model: ChowModel, coeffs: tuple[SuperScalar, ...]) -> GradedElement:
-    """Internal constructor for arithmetic results of already-valid shape."""
-    out = object.__new__(GradedElement)
-    object.__setattr__(out, "model", model)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _reciprocal(k: int) -> Fraction:
-    return Fraction(1, k)
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Truncated product of two integer coefficient vectors of one length."""
+    # degree k pairs a[i] with b[k - i]: zip stops at the k + 1 entries of the reversed tail
+    reverse = b[::-1]
+    last = len(b) - 1
+    return [sum(map(mul, a, reverse[last - k :])) for k in range(len(a))]

@@ -23,7 +23,7 @@ from .modulidim import (
     vdim_closed,
 )
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar
+from .superscalar import SuperScalar, parse_rational
 from .suites import run_identity_suites, run_sgrr_sweep
 
 CSV_COLUMNS = [
@@ -59,8 +59,8 @@ def build_parser() -> _Parser:
     vdim.add_argument("--r", type=int, default=1)
     vdim.add_argument("--s", type=int, default=0)
     vdim.add_argument("--d", type=int, default=0)
-    vdim.add_argument("--tau", type=Fraction, default=Fraction(0))
-    vdim.add_argument("--phi-int", type=Fraction, default=Fraction(0))
+    vdim.add_argument("--tau", type=_rational, default=Fraction(0))
+    vdim.add_argument("--phi-int", type=_rational, default=Fraction(0))
     _add_source_flags(vdim)
     vdim.add_argument("--json", action="store_true", help="print only the JSON document")
     vdim.add_argument(
@@ -109,6 +109,14 @@ def _case_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """An exact int or "p/q" argument."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:

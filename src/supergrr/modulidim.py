@@ -31,7 +31,7 @@ from .grr import (
     pullback_tangent,
 )
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar
+from .superscalar import SuperScalar, parse_int, parse_rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +51,11 @@ class ModuliParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModuliParams":
-        return cls(int(obj["g"]), int(obj.get("n_ns", 0)), int(obj.get("n_rr", 0)))
+        return cls(
+            parse_int(obj["g"], "g"),
+            parse_int(obj.get("n_ns", 0), "n_ns"),
+            parse_int(obj.get("n_rr", 0), "n_rr"),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +76,10 @@ class TargetSpec:
     def __post_init__(self) -> None:
         if self.r < 0 or self.s < 0:
             raise ValueError("target ranks must be nonnegative")
-        if not isinstance(self.tau, Fraction):
-            object.__setattr__(self, "tau", Fraction(self.tau))
-        if not isinstance(self.phi_int, Fraction):
-            object.__setattr__(self, "phi_int", Fraction(self.phi_int))
+        if type(self.tau) is not Fraction:
+            object.__setattr__(self, "tau", parse_rational(self.tau, "tau"))
+        if type(self.phi_int) is not Fraction:
+            object.__setattr__(self, "phi_int", parse_rational(self.phi_int, "phi_int"))
 
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":
@@ -88,7 +92,8 @@ class TargetSpec:
 
     @classmethod
     def custom(cls, r: int, s: int, tau, phi_int) -> "TargetSpec":
-        return cls(r, s, Fraction(tau), Fraction(phi_int))
+        """tau and phi_int are each an int, a Fraction or a "p/q" string."""
+        return cls(r, s, tau, phi_int)
 
     @classmethod
     def point(cls) -> "TargetSpec":
@@ -124,15 +129,17 @@ class TargetSpec:
     def from_json(cls, obj: dict) -> "TargetSpec":
         kind = obj.get("kind", "psuper")
         if kind == "psuper":
-            return cls.psuper(int(obj["r"]), int(obj["s"]), int(obj["d"]))
+            return cls.psuper(
+                parse_int(obj["r"], "r"), parse_int(obj["s"], "s"), parse_int(obj["d"], "d")
+            )
         if kind == "point":
             return cls.point()
         if kind == "custom":
             return cls.custom(
-                int(obj["r"]),
-                int(obj["s"]),
-                Fraction(obj.get("tau", 0)),
-                Fraction(obj.get("phi_int", 0)),
+                parse_int(obj["r"], "r"),
+                parse_int(obj["s"], "s"),
+                obj.get("tau", 0),
+                obj.get("phi_int", 0),
             )
         raise ValueError(f"unknown target kind {kind!r}")
 

@@ -7,8 +7,10 @@ shift of its odd part.  By the splitting principle this loses no
 generality for characteristic-class identities.
 
 Every class below is a function of the power sums p_k(a) = sum_i a_i**k
-and p_k(m), computed in plain rational arithmetic up to the top degree;
-the P factor is applied once, at the end:
+and p_k(m), taken in integers over a common denominator of the degrees
+up to the top degree, and is built straight from its values at P = +1
+and P = -1 (see chowring); the P or 2**s factor becomes one factor per
+component:
 
 * Chern character:   ch_k(E) = (p_k(a) - P * p_k(m)) / k!
 * total Chern class: c(E) = P**s * exp(sum_k (-1)**(k-1) (p_k(a) - p_k(m)) / k * x**k),
@@ -21,12 +23,12 @@ the P factor is applied once, at the end:
 
 The rows tau, upsilon and upsilon' are the coefficients of the series
 logarithms of x / (1 - e**-x), (1 + e**-x) / 2 and (1 + e**x) / 2.  Each
-row is computed from its own defining series and cached per top degree.
+row is computed from its own defining series and cached per top degree,
+as integer numerators over a common denominator.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,11 +36,9 @@ from math import factorial, lcm
 from typing import Sequence
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
-from .superscalar import SuperScalar, pi_power
+from .superscalar import SuperScalar, parse_rational
 
 Degrees = tuple[Fraction, ...]
-
-_DEGREE_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class NotPurelyOdd(ValueError):
@@ -104,23 +104,24 @@ class SuperBundle:
     # -- characteristic classes -----------------------------------------
 
     def chern_character(self) -> GradedElement:
-        """ch_k(E) = (p_k(a) - P * p_k(m)) / k!."""
-        top = self.model.top_degree
-        even = _power_sums(self.even_degs, top)
-        odd = _power_sums(self.odd_degs, top)
-        factorials = _inverse_factorials(top)
-        return GradedElement.from_coeffs(
-            self.model, [SuperScalar(a * f, -m * f) for a, m, f in zip(even, odd, factorials)]
+        """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
+        den, (even, odd) = _power_sums(self.model.top_degree, self.even_degs, self.odd_degs)
+        return _over_factorials(
+            self.model,
+            [a - m for a, m in zip(even, odd)],
+            [a + m for a, m in zip(even, odd)],
+            den,
         )
 
     def chern_total(self) -> GradedElement:
         """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1."""
         top = self.model.top_degree
-        row = _log_one_plus_row(top)
-        even = _power_sums(self.even_degs, top)
-        odd = _power_sums(self.odd_degs, top)
+        den, (even, odd) = _power_sums(top, self.even_degs, self.odd_degs)
+        row_den, row = _log_one_plus_row(top)
         exponent = [c * (a - m) for c, a, m in zip(row, even, odd)]
-        return _scaled_exp(self.model, pi_power(len(self.odd_degs)), exponent)
+        return _scaled_exp(
+            self.model, exponent, row_den, den, minus=(-1) ** len(self.odd_degs)
+        )
 
     def chern_class(self, degree: int) -> SuperScalar:
         """Coefficient of c_degree(E) on the degree generator."""
@@ -132,28 +133,31 @@ class SuperBundle:
     def todd(self) -> GradedElement:
         """Multiplicative Todd character, 2**s * exp(tau . p(a) + upsilon . p(m))."""
         top = self.model.top_degree
-        tau, upsilon = _todd_even_row(top), _todd_odd_row(top)
-        even = _power_sums(self.even_degs, top)
-        odd = _power_sums(self.odd_degs, top)
+        den, (even, odd) = _power_sums(top, self.even_degs, self.odd_degs)
+        row_den, tau, upsilon = _todd_rows(top)
         exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
-        return _scaled_exp(self.model, SuperScalar(2 ** len(self.odd_degs)), exponent)
+        scale = 2 ** len(self.odd_degs)
+        return _scaled_exp(self.model, exponent, row_den, den, plus=scale, minus=scale)
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
-        scale = SuperScalar(2 ** len(self.odd_degs))
-        return _scaled_exp(self.model, scale, self._sigma1_exponent())
+        scale = 2 ** len(self.odd_degs)
+        return _scaled_exp(self.model, *self._sigma1_exponent(), plus=scale, minus=scale)
 
     def sigma1_inverse(self) -> GradedElement:
         """sigma1()**-1: the exponent negated, divided by 2**s."""
-        scale = SuperScalar(Fraction(1, 2 ** len(self.odd_degs)))
-        return _scaled_exp(self.model, scale, [-e for e in self._sigma1_exponent()])
+        exponent, row_den, den = self._sigma1_exponent()
+        return _scaled_exp(
+            self.model, [-e for e in exponent], row_den, den, divisor=2 ** len(self.odd_degs)
+        )
 
-    def _sigma1_exponent(self) -> list[Fraction]:
+    def _sigma1_exponent(self) -> tuple[list[int], int, int]:
         if self.even_degs:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
         top = self.model.top_degree
-        odd = _power_sums(self.odd_degs, top)
-        return [u * m for u, m in zip(_sigma1_row(top), odd)]
+        den, (odd,) = _power_sums(top, self.odd_degs)
+        row_den, row = _sigma1_row(top)
+        return [u * m for u, m in zip(row, odd)], row_den, den
 
     # -- bundle operations ------------------------------------------------
 
@@ -240,27 +244,15 @@ def _degrees(model: ChowModel, values) -> Degrees:
     else:
         degs = tuple(
             [
-                _root_to_degree(model, v) if isinstance(v, GradedElement) else _parse_degree(v)
+                _root_to_degree(model, v)
+                if isinstance(v, GradedElement)
+                else parse_rational(v, "root degree")
                 for v in values
             ]
         )
     if model.top_degree < 1 and any(degs):
         raise ValueError("nonzero root degree on a point model")
     return degs
-
-
-def _parse_degree(value) -> Fraction:
-    """An int, a Fraction or a "p/q" string, read exactly; nothing else."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str) and _DEGREE_TEXT.fullmatch(value):
-        numerator, _, denominator = value.partition("/")
-        if denominator and not int(denominator):
-            raise ValueError(f"root degree {value!r} has a zero denominator")
-        return Fraction(int(numerator), int(denominator or 1))
-    raise ValueError(f"a root degree is an int or a 'p/q' string, not {value!r}")
 
 
 def _root_to_degree(model: ChowModel, root: GradedElement) -> Fraction:
@@ -282,72 +274,118 @@ def _roots(model: ChowModel, degs: Degrees) -> tuple[GradedElement, ...]:
 # -- rational series in the generator ---------------------------------------------
 
 
-def _power_sums(degs: Degrees, top: int) -> list[Fraction]:
-    """p_0 .. p_top of the degrees, p_0 being their count.
+def _power_sums(top: int, *degree_lists: Degrees) -> tuple[int, list[list[int]]]:
+    """A common denominator D of all the degrees and, per list, D**k * p_k for k = 0..top.
 
-    The degrees are put over a common denominator, so the sums are taken
-    in integer arithmetic and each p_k is reduced once.
+    p_k is the k-th power sum of the degrees, p_0 their count; over D
+    the sums are taken in integer arithmetic.
     """
-    denominator = lcm(*[d.denominator for d in degs])
-    numerators = [d.numerator * (denominator // d.denominator) for d in degs]
-    sums = [Fraction(len(degs))]
-    powers = numerators
-    for k in range(1, top + 1):
-        sums.append(Fraction(sum(powers), denominator**k))
-        if k < top:
-            powers = [p * n for p, n in zip(powers, numerators)]
-    return sums
+    den = lcm(*[d.denominator for degs in degree_lists for d in degs])
+    out = []
+    for degs in degree_lists:
+        numerators = [d.numerator * (den // d.denominator) for d in degs]
+        sums = [len(degs)]
+        powers = numerators
+        for k in range(1, top + 1):
+            sums.append(sum(powers))
+            if k < top:
+                powers = [p * n for p, n in zip(powers, numerators)]
+        out.append(sums)
+    return den, out
 
 
-def _scaled_exp(model: ChowModel, scale: SuperScalar, exponent: list[Fraction]) -> GradedElement:
-    """scale * exp(exponent): the one place a class meets its P or 2**s factor."""
-    return GradedElement.from_coeffs(model, [scale * c for c in _series_exp(exponent)])
+def _over_factorials(
+    model: ChowModel, plus: list[int], minus: list[int], den: int, divisor: int = 1
+) -> GradedElement:
+    """The element worth plus[k] / (divisor k! den**k) at P = +1 and minus[k] / (...) at P = -1."""
+    # weights[k] = top!/k! * den**(top-k) puts every degree over top! * den**top
+    weights = [1]
+    for k in range(model.top_degree, 0, -1):
+        weights.append(weights[-1] * k * den)
+    weights.reverse()
+    return GradedElement.from_split(
+        model,
+        [w * x for w, x in zip(weights, plus)],
+        [w * x for w, x in zip(weights, minus)],
+        weights[0] * divisor,
+    )
 
 
-def _series_exp(g: list[Fraction]) -> list[Fraction]:
-    """exp of a series with no constant term, truncated at len(g): k f_k = sum_j j g_j f_(k-j)."""
-    weighted = [j * c for j, c in enumerate(g)]
-    f = [Fraction(1)]
-    for k in range(1, len(g)):
-        f.append(sum(weighted[j] * f[k - j] for j in range(1, k + 1)) / k)
-    return f
+def _scaled_exp(
+    model: ChowModel,
+    exponent: list[int],
+    row_den: int,
+    den: int,
+    *,
+    plus: int = 1,
+    minus: int = 1,
+    divisor: int = 1,
+) -> GradedElement:
+    """(plus at P = +1, minus at P = -1) / divisor * exp(g), in integers.
+
+    The one place a class meets its P**s, 2**s or 2**-s factor.  The
+    exponent has no constant term and is g_k = exponent[k] / (R * D**k),
+    a cached row over R times power sums over D.  In y = x / D, g has
+    coefficients G_j / R, so f = exp(g) is f_k = F_k / (k! (R D)**k) with
+    F_0 = 1 and F_k = sum_j j G_j F_(k-j) R**(j-1) (k-1)!/(k-j)!: the
+    recurrence k f_k = sum_j j g_j f_(k-j) cleared of denominators.
+    """
+    # weighted[j] = j G_j R**(j-1)
+    weighted = [0]
+    power = 1
+    for j in range(1, len(exponent)):
+        weighted.append(j * exponent[j] * power)
+        power *= row_den
+    series = [1]
+    for k in range(1, len(exponent)):
+        total = 0
+        falling = 1  # (k-1)!/(k-j)!
+        for j in range(1, k + 1):
+            total += weighted[j] * series[k - j] * falling
+            falling *= k - j
+        series.append(total)
+    return _over_factorials(
+        model, [plus * f for f in series], [minus * f for f in series], row_den * den, divisor
+    )
 
 
 def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
-    """log of a series with constant term 1, truncated at len(f): the inverse of _series_exp."""
+    """log of a series with constant term 1, truncated at len(f): the inverse of exp."""
     g = [Fraction(0)]
     for k in range(1, len(f)):
         g.append(f[k] - sum((j * g[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k)
     return tuple(g)
 
 
-@lru_cache(maxsize=64)
-def _inverse_factorials(top: int) -> tuple[Fraction, ...]:
-    return tuple([Fraction(1, factorial(k)) for k in range(top + 1)])
+def _over_common_denominator(row: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """A row of Fractions as its common denominator and integer numerators."""
+    den = lcm(*[c.denominator for c in row])
+    return den, tuple([c.numerator * (den // c.denominator) for c in row])
 
 
 @lru_cache(maxsize=64)
-def _log_one_plus_row(top: int) -> tuple[Fraction, ...]:
+def _log_one_plus_row(top: int) -> tuple[int, tuple[int, ...]]:
     """log(1 + x)."""
-    return _series_log([Fraction(1)] + [Fraction(int(k == 1)) for k in range(1, top + 1)])
+    row = _series_log([Fraction(1)] + [Fraction(int(k == 1)) for k in range(1, top + 1)])
+    return _over_common_denominator(row)
 
 
 @lru_cache(maxsize=64)
-def _todd_even_row(top: int) -> tuple[Fraction, ...]:
-    """tau: log(x / (1 - e**-x)) = -log(sum_j (-x)**j / (j+1)!)."""
-    row = _series_log([Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)])
-    return tuple([-c for c in row])
+def _todd_rows(top: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """tau and upsilon over one common denominator.
 
-
-@lru_cache(maxsize=64)
-def _todd_odd_row(top: int) -> tuple[Fraction, ...]:
-    """upsilon: log((1 + e**-x) / 2)."""
+    tau is log(x / (1 - e**-x)) = -log(sum_j (-x)**j / (j+1)!) and
+    upsilon is log((1 + e**-x) / 2).
+    """
+    tau = [-c for c in _series_log([Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)])]
     half_exp = [Fraction((-1) ** k, 2 * factorial(k)) for k in range(1, top + 1)]
-    return _series_log([Fraction(1)] + half_exp)
+    upsilon = _series_log([Fraction(1)] + half_exp)
+    den, both = _over_common_denominator((*tau, *upsilon))
+    return den, both[: top + 1], both[top + 1 :]
 
 
 @lru_cache(maxsize=64)
-def _sigma1_row(top: int) -> tuple[Fraction, ...]:
+def _sigma1_row(top: int) -> tuple[int, tuple[int, ...]]:
     """upsilon': log((1 + e**x) / 2)."""
     half_exp = [Fraction(1, 2 * factorial(k)) for k in range(1, top + 1)]
-    return _series_log([Fraction(1)] + half_exp)
+    return _over_common_denominator(_series_log([Fraction(1)] + half_exp))

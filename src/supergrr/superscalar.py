@@ -1,11 +1,19 @@
 """Exact arithmetic in the rank-2 coefficient ring Q[P], P**2 = 1.
 
-Every class, degree and multiplicity in this package is a SuperScalar:
-an element ``body + P*soul`` with exact rational components, where P is
-the parity-change involution.  Because P**2 = 1 the ring splits into two
-eigenlines spanned by the idempotents (1 + P)/2 and (1 - P)/2, and an
-element is invertible exactly when body**2 != soul**2.  No floating
-point is used anywhere.
+SuperScalar is the boundary type of this package: the element
+``body + P*soul`` with exact rational components, where P is the
+parity-change involution.  Degrees, Euler characteristics and virtual
+dimensions are SuperScalars, and so is every coefficient a graded class
+hands out, prints or serialises.  Because P**2 = 1 the ring splits into
+two eigenlines spanned by the idempotents (1 + P)/2 and (1 - P)/2, so
+the graded classes themselves are stored over Q x Q, by their values at
+P = +1 and P = -1 (see chowring).  An element is invertible exactly when
+body**2 != soul**2.  No floating point is used anywhere.
+
+``parse_rational`` and ``parse_int`` are the one exact reader of numbers
+that arrive from JSON or the command line: an int or a ``"p/q"`` string
+is read exactly, and floats, bools, nulls and anything else are refused
+with ValueError rather than rounded.
 """
 
 from __future__ import annotations
@@ -40,37 +48,26 @@ class SuperScalar:
 
     def __add__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
         other = coerce(other)
-        if not other:
-            return self
-        if not self:
-            return other
-        return _ss(self.body + other.body, self.soul + other.soul)
+        return SuperScalar(self.body + other.body, self.soul + other.soul)
 
     __radd__ = __add__
 
     def __sub__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
         other = coerce(other)
-        if not other:
-            return self
-        return _ss(self.body - other.body, self.soul - other.soul)
+        return SuperScalar(self.body - other.body, self.soul - other.soul)
 
     def __rsub__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
         return coerce(other) - self
 
     def __neg__(self) -> "SuperScalar":
-        return _ss(-self.body, -self.soul)
+        return SuperScalar(-self.body, -self.soul)
 
     def __mul__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
-        # (a + P b)(a' + P b') = (aa' + bb') + P (ab' + a'b),
-        # with shortcuts for the frequent soul-free factors
+        # (a + P b)(a' + P b') = (aa' + bb') + P (ab' + a'b)
         other = coerce(other)
         a, b = self.body, self.soul
         c, d = other.body, other.soul
-        if not b:
-            return _ss(a * c, a * d) if d else _ss(a * c, _ZERO_FRACTION)
-        if not d:
-            return _ss(a * c, b * c)
-        return _ss(a * c + b * d, a * d + b * c)
+        return SuperScalar(a * c + b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -128,7 +125,12 @@ class SuperScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuperScalar":
-        return cls(Fraction(obj.get("body", 0)), Fraction(obj.get("soul", 0)))
+        if not isinstance(obj, dict):
+            raise ValueError(f"a scalar is a JSON object, not {obj!r}")
+        return cls(
+            parse_rational(obj.get("body", 0), "body"),
+            parse_rational(obj.get("soul", 0), "soul"),
+        )
 
     @classmethod
     def parse(cls, text: str) -> "SuperScalar":
@@ -164,15 +166,28 @@ class SuperScalar:
 
 _TERM = re.compile(r"([+-]?)(?:\((\d+(?:/\d+)?)\)|(\d+(?:/\d+)?))?(\*?P)?")
 
-_ZERO_FRACTION = Fraction(0)
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def _ss(body: Fraction, soul: Fraction) -> SuperScalar:
-    """Internal constructor for results of Fraction arithmetic (no coercion)."""
-    out = object.__new__(SuperScalar)
-    object.__setattr__(out, "body", body)
-    object.__setattr__(out, "soul", soul)
-    return out
+def parse_rational(value, what: str = "value") -> Fraction:
+    """An int, a Fraction or a "p/q" string, read exactly; nothing else."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
+        numerator, _, denominator = value.partition("/")
+        if denominator and not int(denominator):
+            raise ValueError(f"{what} {value!r} has a zero denominator")
+        return Fraction(int(numerator), int(denominator or 1))
+    raise ValueError(f"{what} must be an int or a 'p/q' string, not {value!r}")
+
+
+def parse_int(value, what: str = "value") -> int:
+    """An int, exactly; bools, floats and strings are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 def coerce(value: "SuperScalar | RationalLike") -> SuperScalar:

@@ -260,3 +260,14 @@ def test_exp_additivity_on_curve_roots(a, b):
     lhs = (w.scale(a) + w.scale(b)).exp_nilpotent()
     rhs = w.scale(a).exp_nilpotent().ring_mul(w.scale(b).exp_nilpotent())
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "obj",
+    ["curve", {"kind": "curve", "genus": 1.7}, {"kind": "curve", "genus": True},
+     {"kind": "projspace", "r": "2"}, {"genus": 1}],
+    ids=repr,
+)
+def test_model_json_refuses_malformed_specs(obj):
+    with pytest.raises(ValueError):
+        ChowModel.from_json(obj)

@@ -57,6 +57,26 @@ def test_vdim_custom_target(capsys):
     assert payload["consistent"] is True
 
 
+@pytest.mark.parametrize(
+    "flag", ["--tau=1/0", "--phi-int=1/0", "--tau=0.1", "--phi-int=1e3"], ids=str
+)
+def test_vdim_rejects_inexact_degree_flags(capsys, flag):
+    code, out, err = run_cli(capsys, "vdim", "--target", "custom", "--r", "2", "--s", "1", flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: argument {flag.partition('=')[0]}: ")
+    assert err.count("\n") == 1
+
+
+def test_vdim_reads_fraction_flags(capsys):
+    code, out, _ = run_cli(
+        capsys, "vdim", "--target", "custom", "--r", "2", "--s", "1",
+        "--tau=7/2", "--phi-int=-1/3", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["target"]["tau"] == "7/2"
+
+
 def test_vdim_json_only(capsys):
     code, out, _ = run_cli(
         capsys, "vdim", "--target", "psuper", "--r", "3", "--d", "1", "--json"
@@ -185,6 +205,20 @@ def test_chi_rejects_mismatched_model(capsys):
     ids=["string-list", "float", "bool", "null", "zero-denominator"],
 )
 def test_chi_rejects_inexact_degrees(capsys, bundle):
+    code, out, err = run_cli(capsys, "chi", "--g", "1", "--bundle", bundle)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    ['"curve"', '{"kind": "curve", "genus": 1.7}'],
+    ids=["string-model", "float-genus"],
+)
+def test_chi_rejects_malformed_model(capsys, model):
+    bundle = '{"model": %s, "even_degs": [1]}' % model
     code, out, err = run_cli(capsys, "chi", "--g", "1", "--bundle", bundle)
     assert code == 1
     assert out == ""

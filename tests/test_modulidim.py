@@ -314,3 +314,27 @@ def test_evaluate_request_alternate_reading():
     response = evaluate_request(request, alternate_odd_sign=True)
     assert response["odd_part_reading"] == "s+2"
     assert response["consistent"] is False
+
+
+@pytest.mark.parametrize(
+    "params,target",
+    [
+        ({"g": 1.9}, {"kind": "point"}),
+        ({"g": 0, "n_ns": True}, {"kind": "point"}),
+        ({"g": 0}, {"kind": "psuper", "r": "2", "s": 0, "d": 1}),
+        ({"g": 0}, {"kind": "custom", "r": 2, "s": 0, "tau": 0.1}),
+        ({"g": 0}, {"kind": "custom", "r": 2, "s": 0, "tau": None}),
+        ({"g": 0}, {"kind": "custom", "r": 2, "s": 1, "phi_int": "1/0"}),
+    ],
+    ids=["float-genus", "bool-n_ns", "string-r", "float-tau", "null-tau", "zero-denominator"],
+)
+def test_evaluate_request_refuses_inexact_numbers(params, target):
+    with pytest.raises(ValueError):
+        evaluate_request({"params": params, "target": target})
+
+
+def test_targets_read_rationals_exactly():
+    target = TargetSpec.custom(2, 1, "-3/4", 5)
+    assert (target.tau, target.phi_int) == (Fraction(-3, 4), Fraction(5))
+    with pytest.raises(ValueError):
+        TargetSpec.custom(2, 1, 0.5, 0)

@@ -333,3 +333,9 @@ def test_root_views_match_degrees():
 def test_json_requires_model_somewhere():
     with pytest.raises(ValueError):
         SuperBundle.from_json({"even_degs": [1]})
+
+
+@pytest.mark.parametrize("model", ["curve", {"kind": "curve", "genus": 1.7}], ids=repr)
+def test_json_refuses_malformed_model(model):
+    with pytest.raises(ValueError):
+        SuperBundle.from_json({"model": model, "even_degs": [1]})

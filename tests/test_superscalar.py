@@ -170,3 +170,14 @@ def test_coercion_in_arithmetic():
     assert Fraction(1, 2) * SuperScalar(4) == SuperScalar(2)
     with pytest.raises(TypeError):
         SuperScalar(1) + 1.5
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"body": 0.1}, {"body": "1", "soul": 0.5}, {"body": True}, {"soul": None}, {"body": "1/0"},
+     {"body": "0.1"}, ["1", "0"]],
+    ids=repr,
+)
+def test_json_refuses_inexact_numbers(obj):
+    with pytest.raises(ValueError):
+        SuperScalar.from_json(obj)
