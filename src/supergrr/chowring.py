@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .superscalar import ZERO, SuperScalar, coerce, parse_int
+from .superscalar import ZERO, SuperScalar, coerce, parse_int, require_key
 
 CoeffLike = Union[SuperScalar, int, Fraction]
 
@@ -109,9 +109,9 @@ class ChowModel:
         if kind == "point":
             return cls.point()
         if kind == "curve":
-            return cls.curve(parse_int(obj["genus"], "genus"))
+            return cls.curve(parse_int(require_key(obj, "genus", "model"), "genus"))
         if kind == "projspace":
-            return cls.proj_space(parse_int(obj["r"], "r"))
+            return cls.proj_space(parse_int(require_key(obj, "r", "model"), "r"))
         raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -164,15 +164,7 @@ class GradedElement:
         if len(values) > width:
             raise ValueError(f"{len(values)} coefficients exceed top degree {width - 1}")
         values += [ZERO] * (width - len(values))
-        plus = [c.body + c.soul for c in values]
-        minus = [c.body - c.soul for c in values]
-        denominator = lcm(*[x.denominator for x in plus], *[x.denominator for x in minus])
-        return cls.from_split(
-            model,
-            [x.numerator * (denominator // x.denominator) for x in plus],
-            [x.numerator * (denominator // x.denominator) for x in minus],
-            denominator,
-        )
+        return cls.from_split(model, *_split(values))
 
     @classmethod
     def zero(cls, model: ChowModel) -> "GradedElement":
@@ -253,11 +245,7 @@ class GradedElement:
         )
 
     def scale(self, value: CoeffLike) -> "GradedElement":
-        value = coerce(value)
-        plus, minus = value.body + value.soul, value.body - value.soul
-        denominator = lcm(plus.denominator, minus.denominator)
-        p = plus.numerator * (denominator // plus.denominator)
-        m = minus.numerator * (denominator // minus.denominator)
+        (p,), (m,), denominator = _split([coerce(value)])
         return GradedElement.from_split(
             self.model,
             [p * x for x in self.plus],
@@ -337,6 +325,18 @@ class GradedElement:
     def from_json(cls, obj: dict) -> "GradedElement":
         model = ChowModel.from_json(obj["model"])
         return cls.from_coeffs(model, [SuperScalar.from_json(c) for c in obj["coeffs"]])
+
+
+def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:
+    """The values body +- soul at P = +-1, as integer numerators over the lcm of all parts."""
+    denominator = lcm(*[c.body.denominator for c in values], *[c.soul.denominator for c in values])
+    plus, minus = [], []
+    for c in values:
+        body = c.body.numerator * (denominator // c.body.denominator)
+        soul = c.soul.numerator * (denominator // c.soul.denominator)
+        plus.append(body + soul)
+        minus.append(body - soul)
+    return plus, minus, denominator
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

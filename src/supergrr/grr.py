@@ -18,17 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
 from .ktheory import NormalData
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar
+from .superscalar import SuperScalar, parse_int, parse_rational
 
 
 @lru_cache(maxsize=None)
 def _curve_todd(genus: int) -> GradedElement:
     """Todd class of the genus-g tangent bundle (immutable, shared)."""
-    return SuperBundle.from_degrees(ChowModel.curve(genus), (2 - 2 * genus,), ()).todd()
+    return SuperBundle(ChowModel.curve(genus), (2 - 2 * genus,), (), 1).todd()
 
 
 class NonIntegralTwist(ValueError):
@@ -47,20 +48,21 @@ class SplitSupercurve:
     deg_l: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "genus", parse_int(self.genus, "genus"))
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        if not isinstance(self.deg_l, Fraction):
-            object.__setattr__(self, "deg_l", Fraction(self.deg_l))
+        object.__setattr__(self, "deg_l", parse_rational(self.deg_l, "deg_l"))
 
     @classmethod
     def susy(cls, genus: int, n_rr: int = 0) -> "SplitSupercurve":
         """Spin-structure twist deg L = g - 1 + n_rr/2 (must be integral)."""
-        deg_l = Fraction(genus - 1) + Fraction(n_rr, 2)
-        if deg_l.denominator != 1:
+        genus, n_rr = parse_int(genus, "genus"), parse_int(n_rr, "n_rr")
+        if n_rr % 2:
             raise NonIntegralTwist(
-                f"g={genus}, n_rr={n_rr} gives non-integral twist degree {deg_l}"
+                f"g={genus}, n_rr={n_rr} gives non-integral twist degree "
+                f"{Fraction(2 * genus - 2 + n_rr, 2)}"
             )
-        return cls(genus, deg_l)
+        return cls(genus, Fraction(genus - 1 + n_rr // 2))
 
     @property
     def model(self) -> ChowModel:
@@ -72,7 +74,7 @@ class SplitSupercurve:
 
     def tangent_bundle(self) -> SuperBundle:
         """Bosonic tangent bundle, one even root of degree 2 - 2g."""
-        return SuperBundle.from_degrees(self.model, (2 - 2 * self.genus,), ())
+        return SuperBundle(self.model, (2 - 2 * self.genus,), (), 1)
 
     def todd_class(self) -> GradedElement:
         return _curve_todd(self.genus)
@@ -109,15 +111,18 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     """Associated graded of a sheaf restricted along the odd filtration.
 
     Roots of each parity reappear untouched, and additionally twisted by
-    deg L with the opposite parity.
+    deg L with the opposite parity.  The twist shifts the numerators by
+    deg L times the denominator; the result keeps the bundle's
+    denominator and stays reduced, since it keeps every numerator.
     """
     _check_curve_bundle(curve, bundle)
     if curve.deg_l.denominator != 1:
         raise NonIntegralTwist(f"twist degree {curve.deg_l} is not an integer")
-    shift = curve.deg_l
-    even = (*bundle.even_degs, *(m + shift for m in bundle.odd_degs))
-    odd = (*bundle.odd_degs, *(a + shift for a in bundle.even_degs))
-    return SuperBundle(curve.model, even, odd)
+    den = bundle.denominator
+    shift = curve.deg_l.numerator * den
+    even = bundle.even + tuple([m + shift for m in bundle.odd])
+    odd = bundle.odd + tuple([a + shift for a in bundle.even])
+    return SuperBundle(curve.model, even, odd, den)
 
 
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
@@ -139,13 +144,15 @@ def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
     """Independent check: classical Riemann-Roch on each part of gr U.
 
     Reads root degrees directly, with no characteristic-class machinery:
-    chi = deg + rank.(1-g) per part, combined as chi_even - P chi_odd.
+    chi = deg + rank.(1-g) per part, combined as chi_even - P chi_odd,
+    each part summed in integers over the bundle's denominator.
     """
     graded = gr_module(curve, bundle)
-    one_minus_g = 1 - curve.genus
-    chi_even = sum(graded.even_degs, Fraction(0)) + len(graded.even_degs) * one_minus_g
-    chi_odd = sum(graded.odd_degs, Fraction(0)) + len(graded.odd_degs) * one_minus_g
-    return SuperEuler(SuperScalar(chi_even, -chi_odd))
+    den = graded.denominator
+    rank_term = (1 - curve.genus) * den
+    chi_even = sum(graded.even) + len(graded.even) * rank_term
+    chi_odd = sum(graded.odd) + len(graded.odd) * rank_term
+    return SuperEuler(SuperScalar(Fraction(chi_even, den), Fraction(-chi_odd, den)))
 
 
 def check_sgrr(curve: SplitSupercurve, bundle: SuperBundle) -> bool:
@@ -162,13 +169,13 @@ def pullback_tangent(curve: SplitSupercurve, target) -> SuperBundle:
     a curve see only rank and total degree, so the canonical form puts
     the whole degree on one root per parity and zeros elsewhere.
     """
-    r, s = target.r, target.s
-    tau = Fraction(target.tau)
-    mu = -Fraction(target.phi_int)
+    r, s, tau, phi = target.r, target.s, target.tau, target.phi_int
     if r < 1 or s < 0:
         raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
-    if s == 0 and mu:
+    if s == 0 and phi:
         raise InvalidRank("odd degree data on a target with no odd directions")
-    even = (tau,) + (0,) * (r - 1)
-    odd = (mu,) + (0,) * (s - 1) if s else ()
-    return SuperBundle.from_degrees(curve.model, even, odd)
+    # over the lcm of two reduced denominators the numerators stay coprime to it
+    den = lcm(tau.denominator, phi.denominator)
+    even = (tau.numerator * (den // tau.denominator),) + (0,) * (r - 1)
+    odd = (-phi.numerator * (den // phi.denominator),) + (0,) * (s - 1) if s else ()
+    return SuperBundle(curve.model, even, odd, den)

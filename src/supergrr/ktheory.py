@@ -3,8 +3,10 @@
 On the bosonic reductions in scope the Chern character is injective, so
 a K-class is stored faithfully as a graded element.  The embedding of
 the bosonic reduction X into the ambient superscheme contributes the
-purely odd conormal data N*, stored as the degrees nu_j of its roots;
-its class
+purely odd conormal data N*, stored like a bundle's degrees (see
+superbundle): the root degrees nu_j as integer numerators over one
+reduced positive denominator, so equal data compare and hash equal on
+ints alone.  Its class
 
     sigma_1(N*) = prod_j (1 + e**nu_j) = 2**s * exp(sum_k upsilon'_k p_k(nu) x**k)
 
@@ -29,26 +31,32 @@ from .superscalar import SuperScalar
 
 @dataclass(frozen=True, slots=True)
 class NormalData:
-    """Bosonic root degrees of the parity-shifted conormal sheaf of X in the ambient superscheme."""
+    """Bosonic root degrees of the parity-shifted conormal sheaf of X in the ambient superscheme.
+
+    The degrees are normal[j] / denominator, in the canonical form of a
+    SuperBundle's odd part; the raw constructor neither parses nor
+    reduces, so build normal data with from_degrees or bosonic.
+    """
 
     model: ChowModel
-    normal_degs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        # the purely odd conormal bundle parses the degrees (or validates roots)
-        object.__setattr__(
-            self, "normal_degs", SuperBundle(self.model, (), self.normal_degs).odd_degs
-        )
+    normal: tuple[int, ...]
+    denominator: int
 
     @classmethod
     def bosonic(cls, model: ChowModel) -> "NormalData":
         """Ambient space equal to its bosonic reduction: no odd directions."""
-        return cls(model, ())
+        return cls(model, (), 1)
 
     @classmethod
     def from_degrees(cls, model: ChowModel, degrees) -> "NormalData":
         """Normal data from a list of exact degrees (int, Fraction or "p/q")."""
-        return cls(model, degrees)
+        conormal = SuperBundle.from_degrees(model, (), degrees)
+        return cls(model, conormal.odd, conormal.denominator)
+
+    @property
+    def normal_degs(self) -> tuple[Fraction, ...]:
+        """The conormal root degrees as Fractions (boundary view)."""
+        return self.conormal_bundle().odd_degs
 
     @property
     def normal_roots(self) -> tuple[GradedElement, ...]:
@@ -56,7 +64,7 @@ class NormalData:
 
     def conormal_bundle(self) -> SuperBundle:
         """N* as a purely odd bundle (rank 0|s)."""
-        return SuperBundle(self.model, (), self.normal_degs)
+        return SuperBundle(self.model, (), self.normal, self.denominator)
 
     def normal_bundle(self) -> SuperBundle:
         return self.conormal_bundle().dual()

@@ -31,7 +31,7 @@ from .grr import (
     pullback_tangent,
 )
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, parse_int, parse_rational
+from .superscalar import SuperScalar, parse_int, parse_rational, require_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +43,8 @@ class ModuliParams:
     n_rr: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("g", "n_ns", "n_rr"):
+            object.__setattr__(self, name, parse_int(getattr(self, name), name))
         if self.g < 0 or self.n_ns < 0 or self.n_rr < 0:
             raise ValueError("genus and puncture counts must be nonnegative")
 
@@ -51,11 +53,7 @@ class ModuliParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModuliParams":
-        return cls(
-            parse_int(obj["g"], "g"),
-            parse_int(obj.get("n_ns", 0), "n_ns"),
-            parse_int(obj.get("n_rr", 0), "n_rr"),
-        )
+        return cls(require_key(obj, "g", "params"), obj.get("n_ns", 0), obj.get("n_rr", 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +72,10 @@ class TargetSpec:
     d: Optional[int] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "r", parse_int(self.r, "r"))
+        object.__setattr__(self, "s", parse_int(self.s, "s"))
+        if self.d is not None:
+            object.__setattr__(self, "d", parse_int(self.d, "d"))
         if self.r < 0 or self.s < 0:
             raise ValueError("target ranks must be nonnegative")
         if type(self.tau) is not Fraction:
@@ -84,6 +86,7 @@ class TargetSpec:
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":
         """Projective superspace P^{r|s}, image class d times a line."""
+        r, s, d = parse_int(r, "r"), parse_int(s, "s"), parse_int(d, "d")
         if r < 1:
             raise ValueError("projective superspace needs r >= 1")
         if d < 0:
@@ -127,21 +130,17 @@ class TargetSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"target must be a JSON object, not {obj!r}")
         kind = obj.get("kind", "psuper")
-        if kind == "psuper":
-            return cls.psuper(
-                parse_int(obj["r"], "r"), parse_int(obj["s"], "s"), parse_int(obj["d"], "d")
-            )
         if kind == "point":
             return cls.point()
-        if kind == "custom":
-            return cls.custom(
-                parse_int(obj["r"], "r"),
-                parse_int(obj["s"], "s"),
-                obj.get("tau", 0),
-                obj.get("phi_int", 0),
-            )
-        raise ValueError(f"unknown target kind {kind!r}")
+        if kind not in ("psuper", "custom"):
+            raise ValueError(f"unknown target kind {kind!r}")
+        r, s = require_key(obj, "r", "target"), require_key(obj, "s", "target")
+        if kind == "psuper":
+            return cls.psuper(r, s, require_key(obj, "d", "target"))
+        return cls.custom(r, s, obj.get("tau", 0), obj.get("phi_int", 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,8 +250,8 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     and properness hint.  With an odd n_rr the assembled route is
     refused and reported as null.
     """
-    params = ModuliParams.from_json(request["params"])
-    target = TargetSpec.from_json(request["target"])
+    params = ModuliParams.from_json(require_key(request, "params", "request"))
+    target = TargetSpec.from_json(require_key(request, "target", "request"))
     response_warnings: list[str] = []
 
     with warnings.catch_warnings(record=True) as caught:

@@ -1,16 +1,23 @@
 """Super vector bundles presented by the degrees of their formal Chern roots.
 
 A bundle of rank r|s over a model with generator x (w on a curve, h on
-P^n) is stored as the rational degrees a_1..a_r of its even Chern roots
+P^n) is stored by the rational degrees a_1..a_r of its even Chern roots
 a_i*x and the degrees m_1..m_s of the bosonic roots m_j*x of the parity
 shift of its odd part.  By the splitting principle this loses no
 generality for characteristic-class identities.
 
+The degrees are kept as integer numerators over one positive
+denominator D, reduced so that the gcd of D and all numerators is 1.
+That form is canonical, so == and hash compare it field by field.  The
+raw constructor neither parses nor reduces: from_degrees is the one
+reader of degrees, and even_degs / odd_degs rebuild the Fractions at
+the boundary (str, JSON).  dual and pi_shift keep D; direct_sum and
+tensor bring both operands to the lcm of their denominators and reduce.
+
 Every class below is a function of the power sums p_k(a) = sum_i a_i**k
-and p_k(m), taken in integers over a common denominator of the degrees
-up to the top degree, and is built straight from its values at P = +1
-and P = -1 (see chowring); the P or 2**s factor becomes one factor per
-component:
+and p_k(m), taken in integers on the stored numerators (D**k p_k), and
+is built straight from its values at P = +1 and P = -1 (see chowring);
+the P or 2**s factor becomes one factor per component:
 
 * Chern character:   ch_k(E) = (p_k(a) - P * p_k(m)) / k!
 * total Chern class: c(E) = P**s * exp(sum_k (-1)**(k-1) (p_k(a) - p_k(m)) / k * x**k),
@@ -32,13 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
 from .superscalar import SuperScalar, parse_rational
 
-Degrees = tuple[Fraction, ...]
+Numerators = tuple[int, ...]
 
 
 class NotPurelyOdd(ValueError):
@@ -56,18 +63,16 @@ def root_degree(root: GradedElement) -> Fraction:
 class SuperBundle:
     """Split super vector bundle of rank r|s given by its Chern-root degrees.
 
-    The positional form ``SuperBundle(model, even, odd)`` also accepts
-    degree-1 ``GradedElement`` roots; they are validated and reduced to
-    their degrees here, once.
+    The even root degrees are even[i] / denominator and the odd ones
+    odd[j] / denominator, with integer numerators and denominator > 0
+    sharing no factor with all of them.  Build bundles with from_degrees
+    or zero, which produce that canonical form.
     """
 
     model: ChowModel
-    even_degs: Degrees
-    odd_degs: Degrees
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "even_degs", _degrees(self.model, self.even_degs))
-        object.__setattr__(self, "odd_degs", _degrees(self.model, self.odd_degs))
+    even: Numerators
+    odd: Numerators
+    denominator: int
 
     # -- constructors --------------------------------------------------
 
@@ -83,15 +88,29 @@ class SuperBundle:
         A degree is an int, a Fraction or a ``"p/q"`` string; floats,
         bools and nulls are refused rather than rounded.
         """
-        return cls(model, even_degs, odd_degs)
+        even = _parse_degrees(model, even_degs)
+        odd = _parse_degrees(model, odd_degs)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den, numerators = _over_common_denominator((*even, *odd))
+        return cls(model, numerators[: len(even)], numerators[len(even) :], den)
 
     @classmethod
     def zero(cls, model: ChowModel) -> "SuperBundle":
-        return cls(model, (), ())
+        return cls(model, (), (), 1)
 
     @property
     def rank(self) -> tuple[int, int]:
-        return (len(self.even_degs), len(self.odd_degs))
+        return (len(self.even), len(self.odd))
+
+    @property
+    def even_degs(self) -> tuple[Fraction, ...]:
+        """The even root degrees as Fractions (boundary view)."""
+        return tuple([Fraction(n, self.denominator) for n in self.even])
+
+    @property
+    def odd_degs(self) -> tuple[Fraction, ...]:
+        """The odd root degrees as Fractions (boundary view)."""
+        return tuple([Fraction(n, self.denominator) for n in self.odd])
 
     @property
     def even_roots(self) -> tuple[GradedElement, ...]:
@@ -105,22 +124,22 @@ class SuperBundle:
 
     def chern_character(self) -> GradedElement:
         """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
-        den, (even, odd) = _power_sums(self.model.top_degree, self.even_degs, self.odd_degs)
+        even, odd = _power_sums(self.model.top_degree, self.even, self.odd)
         return _over_factorials(
             self.model,
             [a - m for a, m in zip(even, odd)],
             [a + m for a, m in zip(even, odd)],
-            den,
+            self.denominator,
         )
 
     def chern_total(self) -> GradedElement:
         """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1."""
         top = self.model.top_degree
-        den, (even, odd) = _power_sums(top, self.even_degs, self.odd_degs)
+        even, odd = _power_sums(top, self.even, self.odd)
         row_den, row = _log_one_plus_row(top)
         exponent = [c * (a - m) for c, a, m in zip(row, even, odd)]
         return _scaled_exp(
-            self.model, exponent, row_den, den, minus=(-1) ** len(self.odd_degs)
+            self.model, exponent, row_den, self.denominator, minus=(-1) ** len(self.odd)
         )
 
     def chern_class(self, degree: int) -> SuperScalar:
@@ -133,69 +152,74 @@ class SuperBundle:
     def todd(self) -> GradedElement:
         """Multiplicative Todd character, 2**s * exp(tau . p(a) + upsilon . p(m))."""
         top = self.model.top_degree
-        den, (even, odd) = _power_sums(top, self.even_degs, self.odd_degs)
+        even, odd = _power_sums(top, self.even, self.odd)
         row_den, tau, upsilon = _todd_rows(top)
         exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
-        scale = 2 ** len(self.odd_degs)
-        return _scaled_exp(self.model, exponent, row_den, den, plus=scale, minus=scale)
+        scale = 2 ** len(self.odd)
+        return _scaled_exp(
+            self.model, exponent, row_den, self.denominator, plus=scale, minus=scale
+        )
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
-        scale = 2 ** len(self.odd_degs)
+        scale = 2 ** len(self.odd)
         return _scaled_exp(self.model, *self._sigma1_exponent(), plus=scale, minus=scale)
 
     def sigma1_inverse(self) -> GradedElement:
         """sigma1()**-1: the exponent negated, divided by 2**s."""
         exponent, row_den, den = self._sigma1_exponent()
         return _scaled_exp(
-            self.model, [-e for e in exponent], row_den, den, divisor=2 ** len(self.odd_degs)
+            self.model, [-e for e in exponent], row_den, den, divisor=2 ** len(self.odd)
         )
 
     def _sigma1_exponent(self) -> tuple[list[int], int, int]:
-        if self.even_degs:
+        if self.even:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
         top = self.model.top_degree
-        den, (odd,) = _power_sums(top, self.odd_degs)
+        (odd,) = _power_sums(top, self.odd)
         row_den, row = _sigma1_row(top)
-        return [u * m for u, m in zip(row, odd)], row_den, den
+        return [u * m for u, m in zip(row, odd)], row_den, self.denominator
 
     # -- bundle operations ------------------------------------------------
 
     def dual(self) -> "SuperBundle":
         return SuperBundle(
             self.model,
-            tuple([-d for d in self.even_degs]),
-            tuple([-d for d in self.odd_degs]),
+            tuple([-n for n in self.even]),
+            tuple([-n for n in self.odd]),
+            self.denominator,
         )
 
     def pi_shift(self) -> "SuperBundle":
         """Parity shift: swaps the even and odd root lists."""
-        return SuperBundle(self.model, self.odd_degs, self.even_degs)
+        return SuperBundle(self.model, self.odd, self.even, self.denominator)
 
     def direct_sum(self, other: "SuperBundle") -> "SuperBundle":
-        if self.model != other.model:
-            raise ModelMismatch(f"{self.model} vs {other.model}")
-        return SuperBundle(
+        den, a, b = self._common_denominator(other)
+        return _reduced(
             self.model,
-            self.even_degs + other.even_degs,
-            self.odd_degs + other.odd_degs,
+            [a * n for n in self.even] + [b * n for n in other.even],
+            [a * n for n in self.odd] + [b * n for n in other.odd],
+            den,
         )
 
     __add__ = direct_sum
 
     def tensor(self, other: "SuperBundle") -> "SuperBundle":
         """Pairwise root sums; matching parities are even, mixed are odd."""
+        den, a, b = self._common_denominator(other)
+        even = [a * x + b * y for x in self.even for y in other.even]
+        even += [a * x + b * y for x in self.odd for y in other.odd]
+        odd = [a * x + b * y for x in self.even for y in other.odd]
+        odd += [a * x + b * y for x in self.odd for y in other.even]
+        return _reduced(self.model, even, odd, den)
+
+    def _common_denominator(self, other: "SuperBundle") -> tuple[int, int, int]:
+        """The lcm of both denominators and the factors that bring each operand to it."""
         if self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
-        even = (
-            *(a + b for a in self.even_degs for b in other.even_degs),
-            *(m + n for m in self.odd_degs for n in other.odd_degs),
-        )
-        odd = (
-            *(a + n for a in self.even_degs for n in other.odd_degs),
-            *(m + b for m in self.odd_degs for b in other.even_degs),
-        )
-        return SuperBundle(self.model, even, odd)
+        den = lcm(self.denominator, other.denominator)
+        return den, den // self.denominator, den // other.denominator
 
     # -- serialization ------------------------------------------------------
 
@@ -216,8 +240,8 @@ class SuperBundle:
         else:
             raise ValueError("bundle spec carries no model")
         if "even_degs" in obj or "odd_degs" in obj:
-            return cls(model, obj.get("even_degs", []), obj.get("odd_degs", []))
-        return cls(model, obj.get("even_roots", []), obj.get("odd_roots", []))
+            return cls.from_degrees(model, obj.get("even_degs", []), obj.get("odd_degs", []))
+        return cls.from_degrees(model, obj.get("even_roots", []), obj.get("odd_roots", []))
 
     def __str__(self) -> str:
         even = ",".join(str(d) for d in self.even_degs)
@@ -225,7 +249,7 @@ class SuperBundle:
         return f"bundle[{self.model}; even=({even}); odd=({odd})]"
 
 
-# -- the boundary: exact degrees and validated roots ----------------------------
+# -- the boundary: exact degrees in, canonical numerators out -------------------
 
 
 # Tuples of varying length are built from lists, never from generators:
@@ -234,38 +258,27 @@ class SuperBundle:
 # so every bundle rank would pin up to 2000 spare tuples (peak memory).
 
 
-def _degrees(model: ChowModel, values) -> Degrees:
-    """Degree tuple from a list of exact degrees or degree-1 roots."""
-    if type(values) is tuple and all(type(v) is Fraction for v in values):
-        # the bundle operations pass their results on without a copy
-        degs = values
-    elif not isinstance(values, (list, tuple)):
+def _parse_degrees(model: ChowModel, values) -> list[Fraction]:
+    """A list or tuple of exact degrees, read by parse_rational."""
+    if not isinstance(values, (list, tuple)):
         raise ValueError(f"root degrees must be given as a list, not {values!r}")
-    else:
-        degs = tuple(
-            [
-                _root_to_degree(model, v)
-                if isinstance(v, GradedElement)
-                else parse_rational(v, "root degree")
-                for v in values
-            ]
-        )
+    degs = [parse_rational(v, "root degree") for v in values]
     if model.top_degree < 1 and any(degs):
         raise ValueError("nonzero root degree on a point model")
     return degs
 
 
-def _root_to_degree(model: ChowModel, root: GradedElement) -> Fraction:
-    if root.model != model:
-        raise ModelMismatch(f"root lives on {root.model}, bundle on {model}")
-    if root.coeffs[0] or any(root.coeffs[2:]):
-        raise ValueError("roots must be homogeneous of degree 1")
-    if model.top_degree >= 1 and root.coeffs[1].soul:
-        raise ValueError("roots must have soul-free coefficients")
-    return root_degree(root)
+def _reduced(model: ChowModel, even: list[int], odd: list[int], den: int) -> SuperBundle:
+    """The bundle with numerators even, odd over den, divided by their common gcd."""
+    common = gcd(den, *even, *odd)
+    if common != 1:
+        even = [n // common for n in even]
+        odd = [n // common for n in odd]
+        den //= common
+    return SuperBundle(model, tuple(even), tuple(odd), den)
 
 
-def _roots(model: ChowModel, degs: Degrees) -> tuple[GradedElement, ...]:
+def _roots(model: ChowModel, degs: tuple[Fraction, ...]) -> tuple[GradedElement, ...]:
     if model.top_degree < 1:
         return tuple([GradedElement.zero(model) for _ in degs])
     return tuple([GradedElement.monomial(model, 1, d) for d in degs])
@@ -274,24 +287,22 @@ def _roots(model: ChowModel, degs: Degrees) -> tuple[GradedElement, ...]:
 # -- rational series in the generator ---------------------------------------------
 
 
-def _power_sums(top: int, *degree_lists: Degrees) -> tuple[int, list[list[int]]]:
-    """A common denominator D of all the degrees and, per list, D**k * p_k for k = 0..top.
+def _power_sums(top: int, *numerator_lists: Numerators) -> list[list[int]]:
+    """Per list of degree numerators n_i, the integer power sums sum_i n_i**k for k = 0..top.
 
-    p_k is the k-th power sum of the degrees, p_0 their count; over D
-    the sums are taken in integer arithmetic.
+    Over the bundle's denominator D these are D**k * p_k of the degrees;
+    p_0 is their count.
     """
-    den = lcm(*[d.denominator for degs in degree_lists for d in degs])
     out = []
-    for degs in degree_lists:
-        numerators = [d.numerator * (den // d.denominator) for d in degs]
-        sums = [len(degs)]
+    for numerators in numerator_lists:
+        sums = [len(numerators)]
         powers = numerators
         for k in range(1, top + 1):
             sums.append(sum(powers))
             if k < top:
                 powers = [p * n for p, n in zip(powers, numerators)]
         out.append(sums)
-    return den, out
+    return out
 
 
 def _over_factorials(

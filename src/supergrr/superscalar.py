@@ -11,9 +11,10 @@ P = +1 and P = -1 (see chowring).  An element is invertible exactly when
 body**2 != soul**2.  No floating point is used anywhere.
 
 ``parse_rational`` and ``parse_int`` are the one exact reader of numbers
-that arrive from JSON or the command line: an int or a ``"p/q"`` string
-is read exactly, and floats, bools, nulls and anything else are refused
-with ValueError rather than rounded.
+that arrive from JSON, the command line or a library constructor: an
+int or a ``"p/q"`` string is read exactly, and floats, bools, nulls and
+anything else are refused with ValueError rather than rounded.
+``require_key`` reads a required JSON key, and names it when it is missing.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ class SuperScalar:
     soul: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.body, Fraction):
-            object.__setattr__(self, "body", Fraction(self.body))
-        if not isinstance(self.soul, Fraction):
-            object.__setattr__(self, "soul", Fraction(self.soul))
+        if type(self.body) is not Fraction:
+            object.__setattr__(self, "body", parse_rational(self.body, "body"))
+        if type(self.soul) is not Fraction:
+            object.__setattr__(self, "soul", parse_rational(self.soul, "soul"))
 
     # -- ring operations ---------------------------------------------
 
@@ -188,6 +189,16 @@ def parse_int(value, what: str = "value") -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
+def require_key(obj: dict, key: str, where: str):
+    """obj[key], or a ValueError naming the key that ``where`` lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {obj!r}")
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r} in {where}") from None
 
 
 def coerce(value: "SuperScalar | RationalLike") -> SuperScalar:

@@ -271,3 +271,11 @@ def test_exp_additivity_on_curve_roots(a, b):
 def test_model_json_refuses_malformed_specs(obj):
     with pytest.raises(ValueError):
         ChowModel.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj,key", [({"kind": "curve"}, "genus"), ({"kind": "projspace"}, "r")], ids=repr
+)
+def test_model_json_names_missing_key(obj, key):
+    with pytest.raises(ValueError, match=f"^missing key '{key}' in model$"):
+        ChowModel.from_json(obj)

@@ -226,6 +226,19 @@ def test_chi_rejects_malformed_model(capsys, model):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "model,key",
+    [('{"kind": "curve"}', "genus"), ('{"kind": "projspace"}', "r")],
+    ids=["curve-genus", "projspace-r"],
+)
+def test_chi_names_missing_model_key(capsys, model, key):
+    bundle = '{"model": %s, "even_degs": [1]}' % model
+    code, out, err = run_cli(capsys, "chi", "--g", "1", "--bundle", bundle)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: missing key '{key}' in model\n"
+
+
 def test_chi_accepts_fraction_strings(capsys):
     code, out, _ = run_cli(
         capsys, "chi", "--g", "1", "--bundle", '{"even_degs": ["-3/4", 2], "odd_degs": ["1/2"]}'

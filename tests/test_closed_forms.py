@@ -124,7 +124,7 @@ def test_closed_forms_match_per_root_oracle(model):
         assert bundle.chern_character() == oracle_ch(bundle), bundle
         assert bundle.chern_total() == oracle_c(bundle), bundle
         assert bundle.todd() == oracle_td(bundle), bundle
-        odd = SuperBundle(model, (), bundle.odd_degs)
+        odd = SuperBundle.from_degrees(model, (), bundle.odd_degs)
         sigma1 = oracle_sigma1(odd)
         assert odd.sigma1() == sigma1, odd
         assert odd.sigma1_inverse() == sigma1.series_invert(), odd

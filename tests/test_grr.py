@@ -287,3 +287,23 @@ def test_pullback_tangent_invalid_ranks():
         pullback_tangent(curve, SimpleNamespace(r=2, s=-1, tau=Fraction(0), phi_int=Fraction(0)))
     with pytest.raises(InvalidRank):
         pullback_tangent(curve, SimpleNamespace(r=2, s=0, tau=Fraction(0), phi_int=Fraction(3)))
+
+
+@pytest.mark.parametrize(
+    "genus,deg_l",
+    [(1, 0.5), (True, 0), (1.5, 0), (1, None), (1, True)],
+    ids=repr,
+)
+def test_supercurve_refuses_inexact_numbers(genus, deg_l):
+    with pytest.raises(ValueError):
+        SplitSupercurve(genus, deg_l)
+
+
+@pytest.mark.parametrize("genus,n_rr", [(1, 2.0), (True, 0), (0.0, 2)], ids=repr)
+def test_susy_refuses_inexact_numbers(genus, n_rr):
+    with pytest.raises(ValueError):
+        SplitSupercurve.susy(genus, n_rr)
+
+
+def test_supercurve_reads_exact_twist():
+    assert SplitSupercurve(1, "-3/2").deg_l == Fraction(-3, 2)

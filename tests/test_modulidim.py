@@ -338,3 +338,59 @@ def test_targets_read_rationals_exactly():
     assert (target.tau, target.phi_int) == (Fraction(-3, 4), Fraction(5))
     with pytest.raises(ValueError):
         TargetSpec.custom(2, 1, 0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "args", [(1.5,), (True,), (0, 0.0), (0, 0, 2.0), (0, None), ("1",)], ids=repr
+)
+def test_moduli_params_refuse_inexact_numbers(args):
+    with pytest.raises(ValueError):
+        ModuliParams(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.5, 0, Fraction(0), Fraction(0)),
+        (1, True, Fraction(0), Fraction(0)),
+        (1, 0, Fraction(0), Fraction(0), 0.5),
+        (1, 0, Fraction(0), Fraction(0), False),
+    ],
+    ids=["float-r", "bool-s", "float-d", "bool-d"],
+)
+def test_target_spec_refuses_inexact_numbers(args):
+    with pytest.raises(ValueError):
+        TargetSpec(*args)
+
+
+@pytest.mark.parametrize("args", [(1.0, 0, 1), (1, 0, 0.5), (2, True, 1)], ids=repr)
+def test_psuper_refuses_inexact_numbers(args):
+    with pytest.raises(ValueError):
+        TargetSpec.psuper(*args)
+
+
+@pytest.mark.parametrize(
+    "request_obj,key,where",
+    [
+        ({"target": {"kind": "point"}}, "params", "request"),
+        ({"params": {"g": 0}}, "target", "request"),
+        ({"params": {}, "target": {"kind": "point"}}, "g", "params"),
+        ({"params": {"g": 0}, "target": {"kind": "psuper", "s": 0, "d": 1}}, "r", "target"),
+        ({"params": {"g": 0}, "target": {"r": 2, "s": 0}}, "d", "target"),
+        ({"params": {"g": 0}, "target": {"kind": "custom", "r": 2}}, "s", "target"),
+    ],
+    ids=["params", "target", "g", "r", "d", "s"],
+)
+def test_evaluate_request_names_missing_key(request_obj, key, where):
+    with pytest.raises(ValueError, match=f"^missing key '{key}' in {where}$"):
+        evaluate_request(request_obj)
+
+
+@pytest.mark.parametrize(
+    "request_obj",
+    [{"params": [0], "target": {"kind": "point"}}, {"params": {"g": 0}, "target": "point"}, []],
+    ids=["list-params", "string-target", "list-request"],
+)
+def test_evaluate_request_refuses_non_objects(request_obj):
+    with pytest.raises(ValueError):
+        evaluate_request(request_obj)

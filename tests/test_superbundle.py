@@ -43,25 +43,6 @@ def test_rank():
     assert SuperBundle.zero(C2).rank == (0, 0)
 
 
-def test_roots_must_be_degree_one():
-    with pytest.raises(ValueError):
-        SuperBundle(C2, (GradedElement.one(C2),), ())
-    with pytest.raises(ValueError):
-        SuperBundle(P3, (GradedElement.monomial(P3, 2),), ())
-
-
-def test_roots_must_be_soul_free():
-    bad = GradedElement.from_coeffs(C2, [0, PI])
-    with pytest.raises(ValueError):
-        SuperBundle(C2, (bad,), ())
-
-
-def test_root_model_checked():
-    root = GradedElement.generator(C2)
-    with pytest.raises(ModelMismatch):
-        SuperBundle(C0, (root,), ())
-
-
 def test_point_model_accepts_only_zero_degrees():
     point = ChowModel.point()
     E = SuperBundle.from_degrees(point, (0,), (0, 0))
@@ -327,7 +308,6 @@ def test_root_views_match_degrees():
         GradedElement.monomial(P3, 1, 1),
         GradedElement.monomial(P3, 1, Fraction(-1, 2)),
     )
-    assert SuperBundle(P3, E.even_roots, E.odd_roots) == E
 
 
 def test_json_requires_model_somewhere():

@@ -181,3 +181,17 @@ def test_coercion_in_arithmetic():
 def test_json_refuses_inexact_numbers(obj):
     with pytest.raises(ValueError):
         SuperScalar.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "body,soul",
+    [(0.1, 0), (True, 0), (None, 0), (1, 0.5), (1, False), ("1.5", 0)],
+    ids=repr,
+)
+def test_constructor_refuses_inexact_numbers(body, soul):
+    with pytest.raises(ValueError):
+        SuperScalar(body, soul)
+
+
+def test_constructor_reads_exact_numbers():
+    assert SuperScalar("-3/4", 2) == SuperScalar(Fraction(-3, 4), Fraction(2))
