@@ -1,21 +1,21 @@
 """Exact characteristic-class calculus over the parity ring Q[P].
 
 Building blocks: SuperScalar coefficients, truncated graded rings over
-a point, a curve, or projective space, super vector bundles via formal
-Chern roots, twisted K-classes, a Riemann-Roch engine for split
-supercurves, and virtual-dimension calculators for moduli of stable
-supermaps.
+a point, a curve, or projective space, super vector bundles given by
+the degrees of their formal Chern roots, twisted K-classes, a
+Riemann-Roch engine for split supercurves, and virtual-dimension
+calculators for moduli of stable supermaps.  Euler characteristics and
+virtual dimensions are returned as SuperScalars.
 """
 
 from .superscalar import ONE, PI, ZERO, NotInvertible, SuperScalar, pi_power
 from .chowring import ChowModel, GradedElement, ModelMismatch, NotNilpotent
-from .superbundle import NotPurelyOdd, SuperBundle, root_degree
+from .superbundle import NotPurelyOdd, SuperBundle
 from .ktheory import (
     KClass,
     NormalData,
     ch_twisted,
     j_map,
-    pullback_from_point,
     sigma1_normal,
     star_identity,
     star_product,
@@ -24,7 +24,6 @@ from .grr import (
     InvalidRank,
     NonIntegralTwist,
     SplitSupercurve,
-    SuperEuler,
     check_sgrr,
     chi_character_form,
     chi_super,
@@ -35,7 +34,6 @@ from .grr import (
 from .modulidim import (
     ModuliParams,
     Properness,
-    SuperCycleClass,
     TargetSpec,
     bosonic_dimension,
     chi_gauge,
@@ -60,7 +58,6 @@ __all__ = [
     "NotNilpotent",
     "SuperBundle",
     "NotPurelyOdd",
-    "root_degree",
     "KClass",
     "NormalData",
     "sigma1_normal",
@@ -68,9 +65,7 @@ __all__ = [
     "star_product",
     "star_identity",
     "ch_twisted",
-    "pullback_from_point",
     "SplitSupercurve",
-    "SuperEuler",
     "NonIntegralTwist",
     "InvalidRank",
     "gr_module",
@@ -81,7 +76,6 @@ __all__ = [
     "pullback_tangent",
     "ModuliParams",
     "TargetSpec",
-    "SuperCycleClass",
     "Properness",
     "chi_gauge",
     "vdim_closed",

@@ -323,8 +323,9 @@ class GradedElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradedElement":
-        model = ChowModel.from_json(obj["model"])
-        return cls.from_coeffs(model, [SuperScalar.from_json(c) for c in obj["coeffs"]])
+        model = ChowModel.from_json(require_key(obj, "model", "graded element"))
+        coeffs = require_key(obj, "coeffs", "graded element")
+        return cls.from_coeffs(model, [SuperScalar.from_json(c) for c in coeffs])
 
 
 def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:

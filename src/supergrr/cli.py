@@ -207,8 +207,8 @@ def _cmd_chi(args) -> int:
             "n_rr": args.rr,
             "deg_l": str(curve.deg_l),
             "bundle": bundle.to_json(),
-            "chi": chi.value.to_json(),
-            "oracle": oracle.value.to_json(),
+            "chi": chi.to_json(),
+            "oracle": oracle.to_json(),
             "match": match,
         },
         indent=2,

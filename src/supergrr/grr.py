@@ -10,7 +10,9 @@ which at the level of Chern roots twists each root of the opposite
 parity by deg L.  The super Euler characteristic is then computed two
 independent ways: integrating ch(gr U) . td(T_X) over the curve, and
 componentwise classical Riemann-Roch (chi = deg + rank.(1-g)) on the
-even and odd parts of gr U.  Both are exact and must agree.
+even and odd parts of gr U.  Both are exact and must agree, and both
+return the super Euler characteristic chi_S(U) = chi(even part) -
+P chi(odd part) as a SuperScalar.
 """
 
 from __future__ import annotations
@@ -72,34 +74,8 @@ class SplitSupercurve:
         """Conormal root c_1(L) of the underlying curve in the supercurve."""
         return NormalData.from_degrees(self.model, (self.deg_l,))
 
-    def tangent_bundle(self) -> SuperBundle:
-        """Bosonic tangent bundle, one even root of degree 2 - 2g."""
-        return SuperBundle(self.model, (2 - 2 * self.genus,), (), 1)
-
     def todd_class(self) -> GradedElement:
         return _curve_todd(self.genus)
-
-
-@dataclass(frozen=True, slots=True)
-class SuperEuler:
-    """chi_S(x) = chi(x_even) - P * chi(x_odd), valued in Q[P]."""
-
-    value: SuperScalar
-
-    @property
-    def body(self) -> Fraction:
-        return self.value.body
-
-    @property
-    def soul(self) -> Fraction:
-        return self.value.soul
-
-    @property
-    def is_integral(self) -> bool:
-        return self.value.is_integral
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def _check_curve_bundle(curve: SplitSupercurve, bundle: SuperBundle) -> None:
@@ -125,22 +101,22 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     return SuperBundle(curve.model, even, odd, den)
 
 
-def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
+def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Euler characteristic by integration: integral of ch(gr U) . td(T_X)."""
     graded = gr_module(curve, bundle)
     integrand = graded.chern_character().ring_mul(curve.todd_class())
-    return SuperEuler(integrand.integrate())
+    return integrand.integrate()
 
 
-def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
+def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Euler characteristic as (1-g) ch_0 + deg ch_1 of the graded class."""
     character = gr_module(curve, bundle).chern_character()
     ch0 = character.coefficient(0)
     ch1 = character.coefficient(1)
-    return SuperEuler(ch0 * (1 - curve.genus) + ch1)
+    return ch0 * (1 - curve.genus) + ch1
 
 
-def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
+def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Independent check: classical Riemann-Roch on each part of gr U.
 
     Reads root degrees directly, with no characteristic-class machinery:
@@ -152,7 +128,7 @@ def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperEuler:
     rank_term = (1 - curve.genus) * den
     chi_even = sum(graded.even) + len(graded.even) * rank_term
     chi_odd = sum(graded.odd) + len(graded.odd) * rank_term
-    return SuperEuler(SuperScalar(Fraction(chi_even, den), Fraction(-chi_odd, den)))
+    return SuperScalar(Fraction(chi_even, den), Fraction(-chi_odd, den))
 
 
 def check_sgrr(curve: SplitSupercurve, bundle: SuperBundle) -> bool:

@@ -16,17 +16,18 @@ out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
 is the same closed form with the exponent negated and 2**-s in front
 (see superbundle), so no series inversion is needed.  Both classes are
 memoised per normal datum.
+
+A KClass is built from its character image, and normal data from exact
+degrees with NormalData.from_degrees; neither has a JSON form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, ModelMismatch
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,32 +54,12 @@ class NormalData:
         conormal = SuperBundle.from_degrees(model, (), degrees)
         return cls(model, conormal.odd, conormal.denominator)
 
-    @property
-    def normal_degs(self) -> tuple[Fraction, ...]:
-        """The conormal root degrees as Fractions (boundary view)."""
-        return self.conormal_bundle().odd_degs
-
-    @property
-    def normal_roots(self) -> tuple[GradedElement, ...]:
-        return self.conormal_bundle().odd_roots
-
     def conormal_bundle(self) -> SuperBundle:
         """N* as a purely odd bundle (rank 0|s)."""
         return SuperBundle(self.model, (), self.normal, self.denominator)
 
     def normal_bundle(self) -> SuperBundle:
         return self.conormal_bundle().dual()
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model.to_json(),
-            "normal_roots": [str(d) for d in self.normal_degs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NormalData":
-        model = ChowModel.from_json(obj["model"])
-        return cls.from_degrees(model, obj.get("normal_roots", []))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,24 +72,9 @@ class KClass:
     def model(self) -> ChowModel:
         return self.ch_image.model
 
-    @classmethod
-    def unit(cls, model: ChowModel) -> "KClass":
-        return cls(GradedElement.one(model))
-
-    @classmethod
-    def from_bundle(cls, bundle: SuperBundle) -> "KClass":
-        return cls(bundle.chern_character())
-
     def __mul__(self, other: "KClass") -> "KClass":
         """Untwisted product, i.e. the product of character images."""
         return KClass(self.ch_image.ring_mul(other.ch_image))
-
-    def to_json(self) -> dict:
-        return {"ch_image": self.ch_image.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KClass":
-        return cls(GradedElement.from_json(obj["ch_image"]))
 
 
 def _check_model(x_model: ChowModel, nd: NormalData) -> None:
@@ -150,14 +116,3 @@ def ch_twisted(x: KClass, nd: NormalData) -> GradedElement:
     """Twisted character ch_S(x) = ch(x . sigma_1(N*)**-1)."""
     _check_model(x.model, nd)
     return x.ch_image.ring_mul(_sigma1_classes(nd)[1])
-
-
-def pullback_from_point(value: SuperScalar, nd: NormalData) -> KClass:
-    """Pullback of a point class along the structure morphism.
-
-    A class on the point is a scalar; its pullback is the corresponding
-    constant class in the twisted ring, so its twisted character is the
-    constant again.
-    """
-    constant = KClass(GradedElement.scalar(nd.model, value))
-    return j_map(constant, nd)

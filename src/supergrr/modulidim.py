@@ -12,24 +12,22 @@ The closed formula's odd part carries a coefficient (1-g)(s-2).  An
 alternate (1-g)(s+2) reading of that factor exists in print; the two
 differ by 4(1-g)P, so the alternate breaks the cross-check for every
 g != 1.  The regression flag exists to demonstrate exactly that.
+
+Both routes return a SuperScalar.  The closed formula also takes an odd
+count n_rr of Ramond punctures, where its value is rational; the
+assembled route then has no integral spin twist and refuses.
+evaluate_request reports that case as notes in its response, not as
+Python warnings.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .grr import (
-    InvalidRank,
-    NonIntegralTwist,
-    SplitSupercurve,
-    SuperEuler,
-    chi_super,
-    pullback_tangent,
-)
+from .grr import InvalidRank, SplitSupercurve, chi_super, pullback_tangent
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, parse_int, parse_rational, require_key
 
@@ -143,26 +141,12 @@ class TargetSpec:
         return cls.custom(r, s, obj.get("tau", 0), obj.get("phi_int", 0))
 
 
-@dataclass(frozen=True, slots=True)
-class SuperCycleClass:
-    """Image cycle of a 1|1-dimensional source: beta = (1 - P) d beta_0."""
-
-    d: int
-
-    @property
-    def coefficient(self) -> SuperScalar:
-        return SuperScalar(Fraction(self.d), Fraction(-self.d))
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "coefficient": self.coefficient.to_json()}
-
-
 class Properness(enum.Enum):
     PROPER = "proper"
     NOT_PROPER = "not_proper"
 
 
-def chi_gauge(params: ModuliParams) -> SuperEuler:
+def chi_gauge(params: ModuliParams) -> SuperScalar:
     """Euler data of the gauge sheaf of infinitesimal deformations.
 
     Its h^0 vanishes and h^1 is known in closed form, so
@@ -171,7 +155,7 @@ def chi_gauge(params: ModuliParams) -> SuperEuler:
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     body = Fraction(3 - 3 * g - n_ns - n_rr)
     soul = -(Fraction(2 - 2 * g - n_ns) - Fraction(n_rr, 2))
-    return SuperEuler(SuperScalar(body, soul))
+    return SuperScalar(body, soul)
 
 
 def vdim_closed(
@@ -185,16 +169,12 @@ def vdim_closed(
     Even part (r-3)(1-g) + n_ns + n_rr (1 + s/2) + I and odd-part
     coefficient -[(1-g)(s-2) + n_ns + (n_rr/2)(r+1) + I], with I the
     degree integral of the target.  ``alternate_odd_sign`` switches the
-    (s-2) factor to the printed variant (s+2).
+    (s-2) factor to the printed variant (s+2).  An odd n_rr is allowed
+    and gives a rational value with half-integral parts; the assembled
+    route has no counterpart for it.
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     r, s = target.r, target.s
-    if n_rr % 2:
-        warnings.warn(
-            f"odd n_rr={n_rr}: closed formula evaluated with rational "
-            "arithmetic; the assembled route requires an even count",
-            stacklevel=2,
-        )
     integral = target.degree_integral
     body = (r - 3) * (1 - g) + n_ns + n_rr * (1 + Fraction(s, 2)) + integral
     s_term = s + 2 if alternate_odd_sign else s - 2
@@ -203,11 +183,11 @@ def vdim_closed(
 
 
 def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
-    """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge)."""
-    if params.n_rr % 2:
-        raise NonIntegralTwist(
-            f"n_rr={params.n_rr} is odd: spin twist degree g-1+n_rr/2 is not integral"
-        )
+    """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge).
+
+    An odd n_rr raises NonIntegralTwist: the spin twist g - 1 + n_rr/2 of
+    the supercurve is not an integer.
+    """
     curve = SplitSupercurve.susy(params.g, params.n_rr)
     if target.r == 0 and target.s == 0:
         if target.tau or target.phi_int:
@@ -216,7 +196,7 @@ def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     else:
         tangent = pullback_tangent(curve, target)
     chi_tangent = chi_super(curve, tangent)
-    return chi_tangent.value - chi_gauge(params).value
+    return chi_tangent - chi_gauge(params)
 
 
 def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
@@ -248,26 +228,24 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     The response carries the closed and assembled values, a consistency
     flag, and (for projective-superspace targets) the bosonic dimension
     and properness hint.  With an odd n_rr the assembled route is
-    refused and reported as null.
+    refused and reported as null, and the response's "warnings" list
+    carries two notes that say so; it is empty otherwise.
     """
     params = ModuliParams.from_json(require_key(request, "params", "request"))
     target = TargetSpec.from_json(require_key(request, "target", "request"))
-    response_warnings: list[str] = []
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)
-    response_warnings.extend(str(w.message) for w in caught)
-
+    closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)
     assembled: Optional[SuperScalar] = None
     consistent: Optional[bool] = None
+    response_warnings: list[str] = []
     if params.n_rr % 2 == 0:
         assembled = vdim_assembled(params, target)
         consistent = assembled == closed
     else:
-        response_warnings.append(
-            "assembled route skipped: odd n_rr gives a non-integral spin twist"
-        )
+        response_warnings = [
+            f"odd n_rr={params.n_rr}: closed formula evaluated with rational "
+            "arithmetic; the assembled route requires an even count",
+            "assembled route skipped: odd n_rr gives a non-integral spin twist",
+        ]
 
     response = {
         "params": params.to_json(),

@@ -52,13 +52,6 @@ class NotPurelyOdd(ValueError):
     """sigma_1 is only defined here for bundles of rank 0|s."""
 
 
-def root_degree(root: GradedElement) -> Fraction:
-    """Degree-1 coefficient of a root (0 on a point model)."""
-    if root.model.top_degree < 1:
-        return Fraction(0)
-    return root.coeffs[1].body
-
-
 @dataclass(frozen=True, slots=True)
 class SuperBundle:
     """Split super vector bundle of rank r|s given by its Chern-root degrees.
@@ -111,14 +104,6 @@ class SuperBundle:
     def odd_degs(self) -> tuple[Fraction, ...]:
         """The odd root degrees as Fractions (boundary view)."""
         return tuple([Fraction(n, self.denominator) for n in self.odd])
-
-    @property
-    def even_roots(self) -> tuple[GradedElement, ...]:
-        return _roots(self.model, self.even_degs)
-
-    @property
-    def odd_roots(self) -> tuple[GradedElement, ...]:
-        return _roots(self.model, self.odd_degs)
 
     # -- characteristic classes -----------------------------------------
 
@@ -276,12 +261,6 @@ def _reduced(model: ChowModel, even: list[int], odd: list[int], den: int) -> Sup
         odd = [n // common for n in odd]
         den //= common
     return SuperBundle(model, tuple(even), tuple(odd), den)
-
-
-def _roots(model: ChowModel, degs: tuple[Fraction, ...]) -> tuple[GradedElement, ...]:
-    if model.top_degree < 1:
-        return tuple([GradedElement.zero(model) for _ in degs])
-    return tuple([GradedElement.monomial(model, 1, d) for d in degs])
 
 
 # -- rational series in the generator ---------------------------------------------

@@ -15,11 +15,13 @@ that arrive from JSON, the command line or a library constructor: an
 int or a ``"p/q"`` string is read exactly, and floats, bools, nulls and
 anything else are refused with ValueError rather than rounded.
 ``require_key`` reads a required JSON key, and names it when it is missing.
+Inside the program, the ring operations take a SuperScalar, an int or a
+Fraction operand; ``coerce`` refuses a bool, like any other non-number,
+with TypeError.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,15 +98,10 @@ class SuperScalar:
     # -- projections --------------------------------------------------
 
     @property
-    def is_rational(self) -> bool:
-        """True when the P-component vanishes."""
-        return not self.soul
-
-    @property
     def is_integral(self) -> bool:
         return self.body.denominator == 1 and self.soul.denominator == 1
 
-    # -- rendering / parsing ------------------------------------------
+    # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
         if not self.soul:
@@ -133,39 +130,6 @@ class SuperScalar:
             parse_rational(obj.get("soul", 0), "soul"),
         )
 
-    @classmethod
-    def parse(cls, text: str) -> "SuperScalar":
-        """Parse either the text form ``p/q + (r/s)*P`` or the JSON form."""
-        stripped = text.strip()
-        if stripped.startswith("{"):
-            return cls.from_json(json.loads(stripped))
-        compact = stripped.replace(" ", "")
-        if not compact:
-            raise ValueError("empty scalar")
-        body = Fraction(0)
-        soul = Fraction(0)
-        pos = 0
-        while pos < len(compact):
-            match = _TERM.match(compact, pos)
-            if match is None or match.end() == pos:
-                raise ValueError(f"cannot parse scalar {text!r}")
-            if pos > 0 and not match.group(1):
-                raise ValueError(f"cannot parse scalar {text!r}")
-            sign = -1 if match.group(1) == "-" else 1
-            coeff_text = match.group(2) or match.group(3)
-            has_p = match.group(4) is not None
-            if coeff_text is None and not has_p:
-                raise ValueError(f"cannot parse scalar {text!r}")
-            coeff = Fraction(coeff_text) if coeff_text is not None else Fraction(1)
-            if has_p:
-                soul += sign * coeff
-            else:
-                body += sign * coeff
-            pos = match.end()
-        return cls(body, soul)
-
-
-_TERM = re.compile(r"([+-]?)(?:\((\d+(?:/\d+)?)\)|(\d+(?:/\d+)?))?(\*?P)?")
 
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -204,7 +168,7 @@ def require_key(obj: dict, key: str, where: str):
 def coerce(value: "SuperScalar | RationalLike") -> SuperScalar:
     if isinstance(value, SuperScalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return SuperScalar(Fraction(value))
     raise TypeError(f"cannot coerce {type(value).__name__} to SuperScalar")
 

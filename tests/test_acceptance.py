@@ -55,7 +55,7 @@ def test_criterion_1_closed_vs_assembled_sweep():
 
 def test_criterion_2_reported_formula_reproduction():
     gauge_ok = all(
-        chi_gauge(ModuliParams(g)).value == SuperScalar(3 - 3 * g, -(2 - 2 * g))
+        chi_gauge(ModuliParams(g)) == SuperScalar(3 - 3 * g, -(2 - 2 * g))
         for g in range(6)
     )
 

@@ -247,6 +247,16 @@ def test_too_many_coefficients_rejected():
         GradedElement.from_coeffs(CURVE2, [1, 2, 3])
 
 
+def test_scale_refuses_bools():
+    with pytest.raises(TypeError):
+        GradedElement.one(CURVE2).scale(True)
+
+
+def test_from_coeffs_refuses_bools():
+    with pytest.raises(TypeError):
+        GradedElement.from_coeffs(CURVE2, [True])
+
+
 def test_json_round_trip():
     x = eltc(CURVE2, SuperScalar(1, -1), SuperScalar(Fraction(1, 2), 3))
     blob = json.dumps(x.to_json())
@@ -279,3 +289,11 @@ def test_model_json_refuses_malformed_specs(obj):
 def test_model_json_names_missing_key(obj, key):
     with pytest.raises(ValueError, match=f"^missing key '{key}' in model$"):
         ChowModel.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj,key", [({"model": {"kind": "point"}}, "coeffs"), ({"coeffs": []}, "model")], ids=repr
+)
+def test_element_json_names_missing_key(obj, key):
+    with pytest.raises(ValueError, match=f"^missing key '{key}' in graded element$"):
+        GradedElement.from_json(obj)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -369,6 +370,17 @@ def test_table_stdout(capsys):
     assert len(rows) == 2
     assert rows[1].endswith("not_proper") is False  # d=0, rr=0 is proper
     assert rows[1].split(",")[-1] == "proper"
+
+
+def test_table_odd_rr_emits_no_python_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "table", "--g", "0", "--ns", "0", "--rr", "1",
+            "--r", "1", "--s", "0", "--d", "0",
+        )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "0,0,1,1,0,0,-1,1,-1,proper"
 
 
 def test_table_rejects_bad_range(capsys):

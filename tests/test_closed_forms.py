@@ -36,6 +36,19 @@ MODELS = (
 # -- the per-root oracle --------------------------------------------------------
 
 
+def roots(bundle):
+    """The even and odd Chern roots d*x of a bundle, as graded elements."""
+    model = bundle.model
+
+    def root(d):
+        # a point has no degree-1 class, and every degree on it is 0
+        if model.top_degree < 1:
+            return GradedElement.zero(model)
+        return GradedElement.monomial(model, 1, d)
+
+    return [root(d) for d in bundle.even_degs], [root(d) for d in bundle.odd_degs]
+
+
 def product(model, factors):
     result = GradedElement.one(model)
     for factor in factors:
@@ -45,18 +58,20 @@ def product(model, factors):
 
 def oracle_ch(bundle):
     model = bundle.model
-    even = sum((r.exp_nilpotent() for r in bundle.even_roots), GradedElement.zero(model))
-    odd = sum((r.exp_nilpotent() for r in bundle.odd_roots), GradedElement.zero(model))
-    return even - odd.scale(PI)
+    even, odd = roots(bundle)
+    even_ch = sum((r.exp_nilpotent() for r in even), GradedElement.zero(model))
+    odd_ch = sum((r.exp_nilpotent() for r in odd), GradedElement.zero(model))
+    return even_ch - odd_ch.scale(PI)
 
 
 def oracle_c(bundle):
     model = bundle.model
     one = GradedElement.one(model)
-    numerator = product(model, (one + r for r in bundle.even_roots))
-    denominator = product(model, (one + r for r in bundle.odd_roots))
+    even, odd = roots(bundle)
+    numerator = product(model, (one + r for r in even))
+    denominator = product(model, (one + r for r in odd))
     total = numerator.ring_mul(denominator.series_invert())
-    return total.scale(pi_power(len(bundle.odd_roots)))
+    return total.scale(pi_power(len(odd)))
 
 
 def oracle_todd_even_line(root):
@@ -73,14 +88,16 @@ def oracle_todd_even_line(root):
 def oracle_td(bundle):
     model = bundle.model
     one = GradedElement.one(model)
-    even = product(model, (oracle_todd_even_line(r) for r in bundle.even_roots))
-    odd = product(model, (one + (-r).exp_nilpotent() for r in bundle.odd_roots))
-    return even.ring_mul(odd)
+    even, odd = roots(bundle)
+    even_td = product(model, (oracle_todd_even_line(r) for r in even))
+    odd_td = product(model, (one + (-r).exp_nilpotent() for r in odd))
+    return even_td.ring_mul(odd_td)
 
 
 def oracle_sigma1(bundle):
     one = GradedElement.one(bundle.model)
-    return product(bundle.model, (one + r.exp_nilpotent() for r in bundle.odd_roots))
+    _, odd = roots(bundle)
+    return product(bundle.model, (one + r.exp_nilpotent() for r in odd))
 
 
 # -- inputs ---------------------------------------------------------------------

@@ -4,7 +4,9 @@ The digests were captured from the coefficient-by-coefficient Q[P]
 implementation that the split Q x Q kernel replaced, so any change to
 the printed text, JSON or CSV shows up here.  The commands cover the
 full default ``table`` sweep, the seeded ``grr-check`` and
-``identities`` runs and the README ``vdim`` and ``chi`` examples.
+``identities`` runs, the README ``vdim`` and ``chi`` examples, and a
+``vdim --json`` request with an odd ``--rr``, which pins the two notes
+in its ``warnings`` list.
 """
 
 import contextlib
@@ -60,6 +62,12 @@ GOLDEN = {
          "--use-paper-dimmod2-sign"],
         2,
         "8e5fef8a06ef39e70a2174b056cf6e4e35211164bee52fe554928b11be47d5b1",
+    ),
+    "vdim-odd-rr-json": (
+        ["vdim", "--target", "psuper", "--r", "2", "--s", "1", "--d", "1", "--g", "0",
+         "--rr", "1", "--json"],
+        0,
+        "53418096aac233dbe4ebab89e2fbd62b2796538a8e5cf9f5a9d3bb38f2732e0d",
     ),
     "chi-inline": (
         ["chi", "--g", "2", "--rr", "0", "--bundle", '{"even_degs": [0], "odd_degs": []}'],

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from supergrr import (
     SuperScalar,
     ch_twisted,
     j_map,
-    pullback_from_point,
     sigma1_normal,
     star_identity,
     star_product,
@@ -74,7 +72,7 @@ def test_sigma1_leading_term_is_two_to_s():
         model = rng.choice([C0, C2, P2])
         nd = random_normal(rng, model)
         lead = sigma1_normal(nd).coefficient(0)
-        assert lead == SuperScalar(2 ** len(nd.normal_roots))
+        assert lead == SuperScalar(2 ** len(nd.normal))
 
 
 # -- the map j -------------------------------------------------------------------
@@ -82,7 +80,7 @@ def test_sigma1_leading_term_is_two_to_s():
 
 def test_j_of_unit_is_sigma1():
     nd = NormalData.from_degrees(C2, [1])
-    assert j_map(KClass.unit(C2), nd).ch_image == sigma1_normal(nd)
+    assert j_map(KClass(GradedElement.one(C2)), nd).ch_image == sigma1_normal(nd)
 
 
 def test_j_is_identity_on_bosonic():
@@ -99,7 +97,7 @@ def test_j_worked_example():
 
 def test_j_model_mismatch():
     with pytest.raises(ModelMismatch):
-        j_map(KClass.unit(C0), NormalData.bosonic(C2))
+        j_map(KClass(GradedElement.one(C0)), NormalData.bosonic(C2))
 
 
 # -- star product ------------------------------------------------------------------
@@ -188,31 +186,3 @@ def test_embedding_pushforward_two_routes():
         assert via_sigma == via_todd
         # the normal-bundle Todd class is itself the sigma_1 class
         assert todd_of_normal == sigma1_normal(nd)
-
-
-def test_structure_pullback_functoriality():
-    rng = random.Random(29)
-    for _ in range(100):
-        model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        value = SuperScalar(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-        )
-        pulled = pullback_from_point(value, nd)
-        assert ch_twisted(pulled, nd) == GradedElement.scalar(model, value)
-
-
-# -- serialization ----------------------------------------------------------------------
-
-
-def test_kclass_json_round_trip():
-    x = KClass(elt(C2, SuperScalar(1, -1), SuperScalar(Fraction(2, 3), 0)))
-    blob = json.dumps(x.to_json())
-    assert KClass.from_json(json.loads(blob)) == x
-
-
-def test_normal_data_json_round_trip():
-    nd = NormalData.from_degrees(C2, [1, -4])
-    blob = json.dumps(nd.to_json())
-    assert NormalData.from_json(json.loads(blob)) == nd

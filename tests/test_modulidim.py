@@ -10,7 +10,6 @@ from supergrr import (
     ModuliParams,
     NonIntegralTwist,
     Properness,
-    SuperCycleClass,
     SuperScalar,
     TargetSpec,
     bosonic_dimension,
@@ -33,14 +32,14 @@ SWEEP = list(
 
 @pytest.mark.parametrize("g", range(6))
 def test_chi_gauge_unpunctured(g):
-    assert chi_gauge(ModuliParams(g)).value == SuperScalar(3 - 3 * g, -(2 - 2 * g))
+    assert chi_gauge(ModuliParams(g)) == SuperScalar(3 - 3 * g, -(2 - 2 * g))
 
 
 def test_chi_gauge_with_punctures():
-    assert chi_gauge(ModuliParams(0, 3, 0)).value == SuperScalar(0, 1)
-    assert chi_gauge(ModuliParams(1, 0, 2)).value == SuperScalar(-2, 1)
+    assert chi_gauge(ModuliParams(0, 3, 0)) == SuperScalar(0, 1)
+    assert chi_gauge(ModuliParams(1, 0, 2)) == SuperScalar(-2, 1)
     # odd n_rr gives a half-integral odd component: 2 - P(3/2)
-    assert chi_gauge(ModuliParams(0, 0, 1)).value == SuperScalar(2, Fraction(-3, 2))
+    assert chi_gauge(ModuliParams(0, 0, 1)) == SuperScalar(2, Fraction(-3, 2))
 
 
 def test_params_validation():
@@ -77,16 +76,6 @@ def test_target_json_round_trip():
         assert TargetSpec.from_json(json.loads(json.dumps(t.to_json()))) == t
 
 
-def test_supercycle_class():
-    beta = SuperCycleClass(3)
-    assert beta.coefficient == SuperScalar(3, -3)
-    assert beta.coefficient.soul == -beta.coefficient.body
-    # multiplying by the parity unit flips the sign: (1 - P) P = -(1 - P)
-    from supergrr import PI
-
-    assert beta.coefficient * PI == -beta.coefficient
-
-
 # -- closed formula ----------------------------------------------------------------
 
 
@@ -100,7 +89,7 @@ def test_vdim_closed_point_target_is_curve_moduli_dimension():
         for n_ns in range(4):
             for n_rr in range(0, 8, 2):
                 params = ModuliParams(g, n_ns, n_rr)
-                expected = -chi_gauge(params).value
+                expected = -chi_gauge(params)
                 assert vdim_closed(params, TargetSpec.point()) == expected
 
 
@@ -122,9 +111,7 @@ def test_vdim_closed_affine_slopes():
 
         d_rr = vdim_closed(ModuliParams(g, n_ns, n_rr + 2), target) - v0
         assert d_rr == SuperScalar(2 + s, -(r + 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d_rr_unit = vdim_closed(ModuliParams(g, n_ns, n_rr + 1), target) - v0
+        d_rr_unit = vdim_closed(ModuliParams(g, n_ns, n_rr + 1), target) - v0
         assert d_rr_unit == SuperScalar(1 + Fraction(s, 2), -Fraction(r + 1, 2))
 
         d_d = vdim_closed(params, TargetSpec.psuper(r, s, d + 1)) - v0
@@ -142,8 +129,9 @@ def test_vdim_closed_affine_slopes():
         assert v2 - v0 == d_ns + d_ns
 
 
-def test_vdim_closed_warns_on_odd_rr():
-    with pytest.warns(UserWarning):
+def test_vdim_closed_odd_rr_is_rational_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         value = vdim_closed(ModuliParams(0, 0, 1), TargetSpec.psuper(2, 1, 0))
     assert value.soul.denominator == 2
 

@@ -14,7 +14,6 @@ from supergrr import (
     SuperBundle,
     SuperScalar,
     pi_power,
-    root_degree,
 )
 
 C0 = ChowModel.curve(0)
@@ -194,8 +193,8 @@ def test_direct_sum_model_mismatch():
 
 def test_dual_negates_degrees():
     E = SuperBundle.from_degrees(C2, (1, -2), (3,))
-    assert [root_degree(r) for r in E.dual().even_roots] == [-1, 2]
-    assert [root_degree(r) for r in E.dual().odd_roots] == [-3]
+    assert E.dual().even_degs == (-1, 2)
+    assert E.dual().odd_degs == (-3,)
 
 
 # -- identity properties ----------------------------------------------------------------
@@ -300,14 +299,6 @@ def test_degree_strings_read_exactly():
     assert E.even_degs == (Fraction(-3, 4), Fraction(2), Fraction(5))
     assert E.odd_degs == (Fraction(1, 3),)
     assert SuperBundle.from_json(E.to_json()) == E
-
-
-def test_root_views_match_degrees():
-    E = SuperBundle.from_degrees(P3, (1, "-1/2"), (3,))
-    assert E.even_roots == (
-        GradedElement.monomial(P3, 1, 1),
-        GradedElement.monomial(P3, 1, Fraction(-1, 2)),
-    )
 
 
 def test_json_requires_model_somewhere():
