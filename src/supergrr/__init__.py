@@ -24,7 +24,6 @@ from .grr import (
     InvalidRank,
     NonIntegralTwist,
     SplitSupercurve,
-    check_sgrr,
     chi_character_form,
     chi_super,
     gr_module,
@@ -72,7 +71,6 @@ __all__ = [
     "chi_super",
     "chi_character_form",
     "rr_oracle",
-    "check_sgrr",
     "pullback_tangent",
     "ModuliParams",
     "TargetSpec",

@@ -18,6 +18,11 @@ body = (x+ + x-)/2 and soul = (x+ - x-)/2, is rebuilt only at the
 boundary (coeffs, coefficient, integrate, str and JSON).  A coefficient
 is a zero divisor of Q[P] exactly when one of its two values vanishes.
 
+That integer form has one home, shared with superbundle and grr:
+common_denominator puts Fractions over their least common denominator,
+and lowest_terms divides two integer vectors and their denominator by
+their common gcd.
+
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs
 arise in these models.
@@ -31,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .superscalar import ZERO, SuperScalar, coerce, parse_int, require_key
+from .superscalar import ZERO, SuperScalar, check_keys, coerce, parse_int, require_key
 
 CoeffLike = Union[SuperScalar, int, Fraction]
 
@@ -44,7 +49,8 @@ class NotNilpotent(ValueError):
     """exp requires a vanishing degree-0 coefficient."""
 
 
-_KINDS = ("point", "curve", "projspace")
+# the JSON keys of each model kind
+_KINDS = {"point": ("kind",), "curve": ("kind", "genus"), "projspace": ("kind", "r")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +112,14 @@ class ChowModel:
         if not isinstance(obj, dict):
             raise ValueError(f"a model is a JSON object with a kind, not {obj!r}")
         kind = obj.get("kind")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        check_keys(obj, _KINDS[kind], "model")
         if kind == "point":
             return cls.point()
         if kind == "curve":
             return cls.curve(parse_int(require_key(obj, "genus", "model"), "genus"))
-        if kind == "projspace":
-            return cls.proj_space(parse_int(require_key(obj, "r", "model"), "r"))
-        raise ValueError(f"unknown model kind {kind!r}")
+        return cls.proj_space(parse_int(require_key(obj, "r", "model"), "r"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,14 +154,7 @@ class GradedElement:
             raise ValueError(f"{model} needs {width} numerators per component")
         if denominator < 1:
             raise ValueError(f"denominator must be positive, got {denominator}")
-        common = gcd(denominator, *plus, *minus)
-        if common != 1:
-            plus = [x // common for x in plus]
-            minus = [x // common for x in minus]
-            denominator //= common
-        # tuples are built from lists, not generators: see the note on
-        # tuple free lists in superbundle
-        return cls(model, tuple(plus), tuple(minus), denominator)
+        return cls(model, *lowest_terms(plus, minus, denominator))
 
     @classmethod
     def from_coeffs(cls, model: ChowModel, coeffs: Iterable[CoeffLike]) -> "GradedElement":
@@ -323,21 +323,49 @@ class GradedElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GradedElement":
+        check_keys(obj, ("model", "coeffs"), "graded element")
         model = ChowModel.from_json(require_key(obj, "model", "graded element"))
         coeffs = require_key(obj, "coeffs", "graded element")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"coeffs must be a list of scalars, not {coeffs!r}")
         return cls.from_coeffs(model, [SuperScalar.from_json(c) for c in coeffs])
 
 
+# -- the integer form: numerators over one reduced positive denominator -----------
+#
+# Tuples of varying length are built from lists, never from generators:
+# CPython builds a tuple from a generator by shrinking an over-allocated
+# one, and when it dies it is kept on the free list of its final length,
+# so every length in use would pin up to 2000 spare tuples (peak memory).
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Fractions as integer numerators over their least common denominator.
+
+    Over the lcm of reduced denominators the numerators share no factor
+    with it, so the result is already in lowest terms.
+    """
+    denominator = lcm(*[v.denominator for v in values])
+    return denominator, tuple([v.numerator * (denominator // v.denominator) for v in values])
+
+
+def lowest_terms(
+    a: Sequence[int], b: Sequence[int], denominator: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Two integer vectors over denominator, divided by the gcd of all three."""
+    common = gcd(denominator, *a, *b)
+    if common != 1:
+        a = [x // common for x in a]
+        b = [x // common for x in b]
+        denominator //= common
+    return tuple(a), tuple(b), denominator
+
+
 def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:
-    """The values body +- soul at P = +-1, as integer numerators over the lcm of all parts."""
-    denominator = lcm(*[c.body.denominator for c in values], *[c.soul.denominator for c in values])
-    plus, minus = [], []
-    for c in values:
-        body = c.body.numerator * (denominator // c.body.denominator)
-        soul = c.soul.numerator * (denominator // c.soul.denominator)
-        plus.append(body + soul)
-        minus.append(body - soul)
-    return plus, minus, denominator
+    """The values body +- soul at P = +-1, as integer numerators over one denominator."""
+    denominator, parts = common_denominator([c.body for c in values] + [c.soul for c in values])
+    pairs = list(zip(parts, parts[len(values) :]))
+    return [b + s for b, s in pairs], [b - s for b, s in pairs], denominator
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

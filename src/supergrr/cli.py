@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -125,18 +127,24 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
 
 
-def _parse_range(text: str) -> list[int]:
-    values: list[int] = []
-    for chunk in str(text).split(","):
+_RANGE_CHUNK = re.compile(r"([+-]?[0-9]+)(?:\.\.([+-]?[0-9]+))?")
+
+
+def _parse_range(flag: str, text: str) -> tuple[range, ...]:
+    """Comma-separated chunks N or N..M (inclusive), each kept as a range object."""
+    chunks = []
+    for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            values.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            values.append(int(chunk))
-    if not values:
-        raise CliError(f"empty range {text!r}")
-    return values
+        if not chunk:
+            continue
+        match = _RANGE_CHUNK.fullmatch(chunk)
+        if match is None:
+            raise CliError(f"argument --{flag}: invalid range chunk {chunk!r}, expected N or N..M")
+        lo, hi = match.groups()
+        chunks.append(range(int(lo), int(hi or lo) + 1))
+    if not any(chunks):
+        raise CliError(f"argument --{flag}: empty range {text!r}")
+    return tuple(chunks)
 
 
 def _target_from_args(args) -> TargetSpec:
@@ -166,9 +174,7 @@ def _cmd_vdim(args) -> int:
         assembled = SuperScalar.from_json(response["assembled"])
         print("consistency failure: closed formula differs from assembled route", file=sys.stderr)
         print(
-            f"  closed with the (s+2) odd-part reading: {closed}"
-            if args.use_paper_dimmod2_sign
-            else f"  closed with the (s-2) odd-part reading: {closed}",
+            f"  closed with the ({response['odd_part_reading']}) odd-part reading: {closed}",
             file=sys.stderr,
         )
         print(
@@ -251,40 +257,31 @@ def _cmd_grr_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
-    for g in _parse_range(args.g):
-        for n_ns in _parse_range(args.ns):
-            for n_rr in _parse_range(args.rr):
-                params = ModuliParams(g, n_ns, n_rr)
-                for r in _parse_range(args.r):
-                    for s in _parse_range(args.s):
-                        for d in _parse_range(args.d):
-                            target = TargetSpec.psuper(r, s, d)
-                            value = vdim_closed(params, target)
-                            rows.append(
-                                [
-                                    g,
-                                    n_ns,
-                                    n_rr,
-                                    r,
-                                    s,
-                                    d,
-                                    str(value.body),
-                                    str(value.soul),
-                                    str(bosonic_dimension(params, target)),
-                                    properness_hint(target, params).value,
-                                ]
-                            )
+    axes = [_parse_range(flag, getattr(args, flag)) for flag in ("g", "ns", "rr", "r", "s", "d")]
+    # Every constraint on a row is a lower bound, so the smallest value of
+    # each flag fails whenever any row would: bad input is refused before
+    # the header, and no partial CSV is written.
+    lowest = [min(chunk.start for chunk in axis if chunk) for axis in axes]
+    ModuliParams(*lowest[:3])
+    TargetSpec.psuper(*lowest[3:])
 
-    def write(stream) -> None:
+    def write(stream) -> int:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        rows = 0
+        for point in itertools.product(*[itertools.chain.from_iterable(axis) for axis in axes]):
+            params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
+            value = vdim_closed(params, target)
+            bosonic = bosonic_dimension(params, target)
+            proper = properness_hint(target, params).value
+            writer.writerow([*point, value.body, value.soul, bosonic, proper])
+            rows += 1
+        return rows
 
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-        print(f"wrote {len(rows)} rows to {args.csv}")
+            rows = write(handle)
+        print(f"wrote {rows} rows to {args.csv}")
     else:
         write(sys.stdout)
     return 0
@@ -332,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

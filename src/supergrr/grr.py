@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .chowring import ChowModel, GradedElement, ModelMismatch
-from .ktheory import NormalData
+from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, parse_int, parse_rational
 
@@ -69,10 +67,6 @@ class SplitSupercurve:
     @property
     def model(self) -> ChowModel:
         return ChowModel.curve(self.genus)
-
-    def normal_data(self) -> NormalData:
-        """Conormal root c_1(L) of the underlying curve in the supercurve."""
-        return NormalData.from_degrees(self.model, (self.deg_l,))
 
     def todd_class(self) -> GradedElement:
         return _curve_todd(self.genus)
@@ -131,11 +125,6 @@ def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     return SuperScalar(Fraction(chi_even, den), Fraction(-chi_odd, den))
 
 
-def check_sgrr(curve: SplitSupercurve, bundle: SuperBundle) -> bool:
-    """True iff the integral route agrees exactly with the classical oracle."""
-    return chi_super(curve, bundle) == rr_oracle(curve, bundle)
-
-
 def pullback_tangent(curve: SplitSupercurve, target) -> SuperBundle:
     """Restricted tangent sheaf of a rank r|s target along a degree-beta map.
 
@@ -150,8 +139,7 @@ def pullback_tangent(curve: SplitSupercurve, target) -> SuperBundle:
         raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
     if s == 0 and phi:
         raise InvalidRank("odd degree data on a target with no odd directions")
-    # over the lcm of two reduced denominators the numerators stay coprime to it
-    den = lcm(tau.denominator, phi.denominator)
-    even = (tau.numerator * (den // tau.denominator),) + (0,) * (r - 1)
-    odd = (-phi.numerator * (den // phi.denominator),) + (0,) * (s - 1) if s else ()
+    den, (tau_n, phi_n) = common_denominator((tau, phi))
+    even = (tau_n,) + (0,) * (r - 1)
+    odd = (-phi_n,) + (0,) * (s - 1) if s else ()
     return SuperBundle(curve.model, even, odd, den)

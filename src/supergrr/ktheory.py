@@ -3,10 +3,9 @@
 On the bosonic reductions in scope the Chern character is injective, so
 a K-class is stored faithfully as a graded element.  The embedding of
 the bosonic reduction X into the ambient superscheme contributes the
-purely odd conormal data N*, stored like a bundle's degrees (see
-superbundle): the root degrees nu_j as integer numerators over one
-reduced positive denominator, so equal data compare and hash equal on
-ints alone.  Its class
+purely odd conormal sheaf N*, held as the rank 0|s SuperBundle with
+bosonic root degrees nu_j, so equal data compare and hash equal as
+bundles do.  Its class
 
     sigma_1(N*) = prod_j (1 + e**nu_j) = 2**s * exp(sum_k upsilon'_k p_k(nu) x**k)
 
@@ -15,7 +14,7 @@ j multiplies by sigma_1(N*), the star product divides one copy back
 out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
 is the same closed form with the exponent negated and 2**-s in front
 (see superbundle), so no series inversion is needed.  Both classes are
-memoised per normal datum.
+memoised per conormal bundle.
 
 A KClass is built from its character image, and normal data from exact
 degrees with NormalData.from_degrees; neither has a JSON form.
@@ -32,34 +31,27 @@ from .superbundle import SuperBundle
 
 @dataclass(frozen=True, slots=True)
 class NormalData:
-    """Bosonic root degrees of the parity-shifted conormal sheaf of X in the ambient superscheme.
+    """The conormal sheaf N* of X in the ambient superscheme, as a rank 0|s bundle.
 
-    The degrees are normal[j] / denominator, in the canonical form of a
-    SuperBundle's odd part; the raw constructor neither parses nor
-    reduces, so build normal data with from_degrees or bosonic.
+    Build normal data with from_degrees or bosonic; the raw constructor
+    NormalData(conormal) takes the SuperBundle as it is.
     """
 
-    model: ChowModel
-    normal: tuple[int, ...]
-    denominator: int
+    conormal: SuperBundle
 
     @classmethod
     def bosonic(cls, model: ChowModel) -> "NormalData":
         """Ambient space equal to its bosonic reduction: no odd directions."""
-        return cls(model, (), 1)
+        return cls(SuperBundle.zero(model))
 
     @classmethod
     def from_degrees(cls, model: ChowModel, degrees) -> "NormalData":
         """Normal data from a list of exact degrees (int, Fraction or "p/q")."""
-        conormal = SuperBundle.from_degrees(model, (), degrees)
-        return cls(model, conormal.odd, conormal.denominator)
+        return cls(SuperBundle.from_degrees(model, (), degrees))
 
-    def conormal_bundle(self) -> SuperBundle:
-        """N* as a purely odd bundle (rank 0|s)."""
-        return SuperBundle(self.model, (), self.normal, self.denominator)
-
-    def normal_bundle(self) -> SuperBundle:
-        return self.conormal_bundle().dual()
+    @property
+    def model(self) -> ChowModel:
+        return self.conormal.model
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +75,14 @@ def _check_model(x_model: ChowModel, nd: NormalData) -> None:
 
 
 @lru_cache(maxsize=16)
-def _sigma1_classes(nd: NormalData) -> tuple[GradedElement, GradedElement]:
-    """sigma_1(N*) and its inverse, shared by every call on the same normal data."""
-    conormal = nd.conormal_bundle()
+def _sigma1_classes(conormal: SuperBundle) -> tuple[GradedElement, GradedElement]:
+    """sigma_1(N*) and its inverse, shared by every call on the same conormal bundle."""
     return conormal.sigma1(), conormal.sigma1_inverse()
 
 
 def sigma1_normal(nd: NormalData) -> GradedElement:
     """sigma_1(N*) = prod (1 + e**nu_j); equals 1 on a bosonic ambient space."""
-    return _sigma1_classes(nd)[0]
+    return _sigma1_classes(nd.conormal)[0]
 
 
 def j_map(x: KClass, nd: NormalData) -> KClass:
@@ -105,7 +96,7 @@ def star_product(x: KClass, y: KClass, nd: NormalData) -> KClass:
     _check_model(x.model, nd)
     _check_model(y.model, nd)
     product = x.ch_image.ring_mul(y.ch_image)
-    return KClass(product.ring_mul(_sigma1_classes(nd)[1]))
+    return KClass(product.ring_mul(_sigma1_classes(nd.conormal)[1]))
 
 
 def star_identity(nd: NormalData) -> KClass:
@@ -115,4 +106,4 @@ def star_identity(nd: NormalData) -> KClass:
 def ch_twisted(x: KClass, nd: NormalData) -> GradedElement:
     """Twisted character ch_S(x) = ch(x . sigma_1(N*)**-1)."""
     _check_model(x.model, nd)
-    return x.ch_image.ring_mul(_sigma1_classes(nd)[1])
+    return x.ch_image.ring_mul(_sigma1_classes(nd.conormal)[1])

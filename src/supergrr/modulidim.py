@@ -29,7 +29,7 @@ from typing import Optional
 
 from .grr import InvalidRank, SplitSupercurve, chi_super, pullback_tangent
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, parse_int, parse_rational, require_key
+from .superscalar import SuperScalar, check_keys, parse_int, parse_rational, require_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +51,7 @@ class ModuliParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModuliParams":
+        check_keys(obj, ("g", "n_ns", "n_rr"), "params")
         return cls(require_key(obj, "g", "params"), obj.get("n_ns", 0), obj.get("n_rr", 0))
 
 
@@ -132,9 +133,12 @@ class TargetSpec:
             raise ValueError(f"target must be a JSON object, not {obj!r}")
         kind = obj.get("kind", "psuper")
         if kind == "point":
+            check_keys(obj, ("kind",), "target")
             return cls.point()
         if kind not in ("psuper", "custom"):
             raise ValueError(f"unknown target kind {kind!r}")
+        degree_keys = ("d",) if kind == "psuper" else ("tau", "phi_int")
+        check_keys(obj, ("kind", "r", "s", *degree_keys), "target")
         r, s = require_key(obj, "r", "target"), require_key(obj, "s", "target")
         if kind == "psuper":
             return cls.psuper(r, s, require_key(obj, "d", "target"))
@@ -229,8 +233,10 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     flag, and (for projective-superspace targets) the bosonic dimension
     and properness hint.  With an odd n_rr the assembled route is
     refused and reported as null, and the response's "warnings" list
-    carries two notes that say so; it is empty otherwise.
+    carries two notes that say so; it is empty otherwise.  A key that
+    the request, its params or its target does not know is refused.
     """
+    check_keys(request, ("params", "target"), "request")
     params = ModuliParams.from_json(require_key(request, "params", "request"))
     target = TargetSpec.from_json(require_key(request, "target", "request"))
     closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)

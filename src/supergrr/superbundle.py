@@ -7,12 +7,15 @@ shift of its odd part.  By the splitting principle this loses no
 generality for characteristic-class identities.
 
 The degrees are kept as integer numerators over one positive
-denominator D, reduced so that the gcd of D and all numerators is 1.
-That form is canonical, so == and hash compare it field by field.  The
-raw constructor neither parses nor reduces: from_degrees is the one
-reader of degrees, and even_degs / odd_degs rebuild the Fractions at
-the boundary (str, JSON).  dual and pi_shift keep D; direct_sum and
-tensor bring both operands to the lcm of their denominators and reduce.
+denominator D, reduced so that the gcd of D and all numerators is 1:
+the integer form of a graded class (chowring's common_denominator and
+lowest_terms).  That form is canonical, so == and hash compare it field
+by field.  The raw constructor neither parses nor reduces: from_degrees
+is the one reader of degrees, and even_degs / odd_degs rebuild the
+Fractions at the boundary (str, JSON).  dual and pi_shift keep D;
+direct_sum and tensor bring both operands to the lcm of their
+denominators and reduce.  A purely odd bundle (rank 0|s) is also the
+conormal data of ktheory.
 
 Every class below is a function of the power sums p_k(a) = sum_i a_i**k
 and p_k(m), taken in integers on the stored numerators (D**k p_k), and
@@ -39,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Sequence
 
-from .chowring import ChowModel, GradedElement, ModelMismatch
-from .superscalar import SuperScalar, parse_rational
+from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator, lowest_terms
+from .superscalar import SuperScalar, check_keys, parse_rational
 
 Numerators = tuple[int, ...]
 
@@ -82,9 +85,7 @@ class SuperBundle:
         bools and nulls are refused rather than rounded.
         """
         even = _parse_degrees(model, even_degs)
-        odd = _parse_degrees(model, odd_degs)
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den, numerators = _over_common_denominator((*even, *odd))
+        den, numerators = common_denominator(even + _parse_degrees(model, odd_degs))
         return cls(model, numerators[: len(even)], numerators[len(even) :], den)
 
     @classmethod
@@ -127,12 +128,8 @@ class SuperBundle:
             self.model, exponent, row_den, self.denominator, minus=(-1) ** len(self.odd)
         )
 
-    def chern_class(self, degree: int) -> SuperScalar:
-        """Coefficient of c_degree(E) on the degree generator."""
-        return self.chern_total().coefficient(degree)
-
     def c1(self) -> SuperScalar:
-        return self.chern_class(1)
+        return self.chern_total().coefficient(1)
 
     def todd(self) -> GradedElement:
         """Multiplicative Todd character, 2**s * exp(tau . p(a) + upsilon . p(m))."""
@@ -181,11 +178,13 @@ class SuperBundle:
 
     def direct_sum(self, other: "SuperBundle") -> "SuperBundle":
         den, a, b = self._common_denominator(other)
-        return _reduced(
+        return SuperBundle(
             self.model,
-            [a * n for n in self.even] + [b * n for n in other.even],
-            [a * n for n in self.odd] + [b * n for n in other.odd],
-            den,
+            *lowest_terms(
+                [a * n for n in self.even] + [b * n for n in other.even],
+                [a * n for n in self.odd] + [b * n for n in other.odd],
+                den,
+            ),
         )
 
     __add__ = direct_sum
@@ -197,7 +196,7 @@ class SuperBundle:
         even += [a * x + b * y for x in self.odd for y in other.odd]
         odd = [a * x + b * y for x in self.even for y in other.odd]
         odd += [a * x + b * y for x in self.odd for y in other.even]
-        return _reduced(self.model, even, odd, den)
+        return SuperBundle(self.model, *lowest_terms(even, odd, den))
 
     def _common_denominator(self, other: "SuperBundle") -> tuple[int, int, int]:
         """The lcm of both denominators and the factors that bring each operand to it."""
@@ -217,16 +216,23 @@ class SuperBundle:
 
     @classmethod
     def from_json(cls, obj: dict, default_model: ChowModel | None = None) -> "SuperBundle":
-        """Accepts the full root form or the curve shorthand with degree lists."""
+        """Accepts the full root form or the curve shorthand with degree lists.
+
+        The keys are model (optional given default_model) and either
+        even_roots / odd_roots or even_degs / odd_degs; any other key,
+        including one of the other spelling, is refused by name.
+        """
+        even, odd = "even_roots", "odd_roots"
+        if isinstance(obj, dict) and ("even_degs" in obj or "odd_degs" in obj):
+            even, odd = "even_degs", "odd_degs"
+        check_keys(obj, ("model", even, odd), "bundle spec")
         if "model" in obj:
             model = ChowModel.from_json(obj["model"])
         elif default_model is not None:
             model = default_model
         else:
             raise ValueError("bundle spec carries no model")
-        if "even_degs" in obj or "odd_degs" in obj:
-            return cls.from_degrees(model, obj.get("even_degs", []), obj.get("odd_degs", []))
-        return cls.from_degrees(model, obj.get("even_roots", []), obj.get("odd_roots", []))
+        return cls.from_degrees(model, obj.get(even, []), obj.get(odd, []))
 
     def __str__(self) -> str:
         even = ",".join(str(d) for d in self.even_degs)
@@ -234,13 +240,7 @@ class SuperBundle:
         return f"bundle[{self.model}; even=({even}); odd=({odd})]"
 
 
-# -- the boundary: exact degrees in, canonical numerators out -------------------
-
-
-# Tuples of varying length are built from lists, never from generators:
-# CPython builds a tuple from a generator by shrinking an over-allocated
-# one, and when it dies it is kept on the free list of its final length,
-# so every bundle rank would pin up to 2000 spare tuples (peak memory).
+# -- the boundary: exact degrees in ---------------------------------------------------
 
 
 def _parse_degrees(model: ChowModel, values) -> list[Fraction]:
@@ -251,16 +251,6 @@ def _parse_degrees(model: ChowModel, values) -> list[Fraction]:
     if model.top_degree < 1 and any(degs):
         raise ValueError("nonzero root degree on a point model")
     return degs
-
-
-def _reduced(model: ChowModel, even: list[int], odd: list[int], den: int) -> SuperBundle:
-    """The bundle with numerators even, odd over den, divided by their common gcd."""
-    common = gcd(den, *even, *odd)
-    if common != 1:
-        even = [n // common for n in even]
-        odd = [n // common for n in odd]
-        den //= common
-    return SuperBundle(model, tuple(even), tuple(odd), den)
 
 
 # -- rational series in the generator ---------------------------------------------
@@ -347,17 +337,11 @@ def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(g)
 
 
-def _over_common_denominator(row: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """A row of Fractions as its common denominator and integer numerators."""
-    den = lcm(*[c.denominator for c in row])
-    return den, tuple([c.numerator * (den // c.denominator) for c in row])
-
-
 @lru_cache(maxsize=64)
 def _log_one_plus_row(top: int) -> tuple[int, tuple[int, ...]]:
     """log(1 + x)."""
     row = _series_log([Fraction(1)] + [Fraction(int(k == 1)) for k in range(1, top + 1)])
-    return _over_common_denominator(row)
+    return common_denominator(row)
 
 
 @lru_cache(maxsize=64)
@@ -370,7 +354,7 @@ def _todd_rows(top: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     tau = [-c for c in _series_log([Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)])]
     half_exp = [Fraction((-1) ** k, 2 * factorial(k)) for k in range(1, top + 1)]
     upsilon = _series_log([Fraction(1)] + half_exp)
-    den, both = _over_common_denominator((*tau, *upsilon))
+    den, both = common_denominator([*tau, *upsilon])
     return den, both[: top + 1], both[top + 1 :]
 
 
@@ -378,4 +362,4 @@ def _todd_rows(top: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 def _sigma1_row(top: int) -> tuple[int, tuple[int, ...]]:
     """upsilon': log((1 + e**x) / 2)."""
     half_exp = [Fraction(1, 2 * factorial(k)) for k in range(1, top + 1)]
-    return _over_common_denominator(_series_log([Fraction(1)] + half_exp))
+    return common_denominator(_series_log([Fraction(1)] + half_exp))

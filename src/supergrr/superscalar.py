@@ -14,7 +14,9 @@ body**2 != soul**2.  No floating point is used anywhere.
 that arrive from JSON, the command line or a library constructor: an
 int or a ``"p/q"`` string is read exactly, and floats, bools, nulls and
 anything else are refused with ValueError rather than rounded.
-``require_key`` reads a required JSON key, and names it when it is missing.
+``require_key`` reads a required JSON key, and names it when it is
+missing; ``check_keys`` refuses, and names, a key that a JSON object
+should not carry, so a misspelt key is never read as its default.
 Inside the program, the ring operations take a SuperScalar, an int or a
 Fraction operand; ``coerce`` refuses a bool, like any other non-number,
 with TypeError.
@@ -95,12 +97,6 @@ class SuperScalar:
             raise NotInvertible(f"{self} is not invertible in Q[P]")
         return SuperScalar(self.body / norm, -self.soul / norm)
 
-    # -- projections --------------------------------------------------
-
-    @property
-    def is_integral(self) -> bool:
-        return self.body.denominator == 1 and self.soul.denominator == 1
-
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -123,8 +119,7 @@ class SuperScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuperScalar":
-        if not isinstance(obj, dict):
-            raise ValueError(f"a scalar is a JSON object, not {obj!r}")
+        check_keys(obj, ("body", "soul"), "scalar")
         return cls(
             parse_rational(obj.get("body", 0), "body"),
             parse_rational(obj.get("soul", 0), "soul"),
@@ -163,6 +158,15 @@ def require_key(obj: dict, key: str, where: str):
         return obj[key]
     except KeyError:
         raise ValueError(f"missing key {key!r} in {where}") from None
+
+
+def check_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """A ValueError naming the first key of obj that ``where`` does not know."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {obj!r}")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}")
 
 
 def coerce(value: "SuperScalar | RationalLike") -> SuperScalar:

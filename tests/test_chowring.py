@@ -297,3 +297,26 @@ def test_model_json_names_missing_key(obj, key):
 def test_element_json_names_missing_key(obj, key):
     with pytest.raises(ValueError, match=f"^missing key '{key}' in graded element$"):
         GradedElement.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj,key",
+    [({"kind": "point", "genus": 0}, "genus"), ({"kind": "curve", "genus": 1, "r": 2}, "r"),
+     ({"kind": "projspace", "r": 2, "dim": 2}, "dim")],
+    ids=repr,
+)
+def test_model_json_names_unknown_key(obj, key):
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in model$"):
+        ChowModel.from_json(obj)
+
+
+def test_element_json_names_unknown_key():
+    obj = {"model": {"kind": "point"}, "coeffs": [], "coeff": [{"body": "1"}]}
+    with pytest.raises(ValueError, match="^unknown key 'coeff' in graded element$"):
+        GradedElement.from_json(obj)
+
+
+@pytest.mark.parametrize("coeffs", [5, "1", {"body": "1"}, None], ids=repr)
+def test_element_json_refuses_non_list_coeffs(coeffs):
+    with pytest.raises(ValueError, match="^coeffs must be a list"):
+        GradedElement.from_json({"model": {"kind": "point"}, "coeffs": coeffs})

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from supergrr.cli import CSV_COLUMNS, main
+from supergrr.cli import CSV_COLUMNS, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,12 @@ def test_chi_rejects_invalid_json(capsys):
     code, _, err = run_cli(capsys, "chi", "--g", "0", "--bundle", "{nope")
     assert code == 1
     assert "invalid bundle JSON" in err
+
+
+def test_chi_names_unknown_bundle_key(capsys):
+    bundle = '{"even_degs": [1], "odd_deg": [2]}'
+    code, out, err = run_cli(capsys, "chi", "--g", "0", "--bundle", bundle)
+    assert (code, out, err) == (1, "", "error: unknown key 'odd_deg' in bundle spec\n")
 
 
 def test_chi_rejects_odd_rr(capsys):
@@ -386,6 +392,25 @@ def test_table_odd_rr_emits_no_python_warning(capsys):
 def test_table_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "table", "--g", "zero")
     assert code == 1
+
+
+@pytest.mark.parametrize("chunk", ["0..1..2", "1..x", ".."])
+def test_table_names_flag_and_chunk_of_bad_range(capsys, chunk):
+    code, out, err = run_cli(capsys, "table", "--s", f"0,{chunk}")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --s: invalid range chunk {chunk!r}, expected N or N..M\n"
+
+
+def test_parse_range_keeps_chunks_as_ranges():
+    # a range this long would take hundreds of gigabytes as a list
+    assert _parse_range("g", "0..100000000000, 7") == (range(0, 100000000001), range(7, 8))
+
+
+@pytest.mark.parametrize("flag,value", [("--g", "0,-1"), ("--d", "2..3,-1"), ("--r", "2,0")])
+def test_table_refuses_a_bad_late_value_before_any_row(capsys, flag, value):
+    code, out, err = run_cli(capsys, "table", flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- plumbing -----------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_twisting_by_normal_data_matches_oracle(model):
     for _ in range(3):
         fractional = rng.random() < 0.5
         nd = NormalData.from_degrees(model, degrees(rng, model, rng.randint(0, 4), fractional))
-        sigma1 = oracle_sigma1(nd.conormal_bundle())
+        sigma1 = oracle_sigma1(nd.conormal)
         coeffs = [
             SuperScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-9, 9))
             for _ in range(model.top_degree + 1)

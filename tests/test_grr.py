@@ -13,7 +13,6 @@ from supergrr import (
     SplitSupercurve,
     SuperBundle,
     SuperScalar,
-    check_sgrr,
     chi_character_form,
     chi_super,
     gr_module,
@@ -137,13 +136,13 @@ def test_even_component_is_twist_independent_for_even_lines():
             for d in range(-4, 5):
                 bundle = bundle_on(curve, even=(d,))
                 assert chi_super(curve, bundle).body == d + 1 - g
-                assert check_sgrr(curve, bundle)
+                assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
 
 
 def test_integrality_of_super_euler():
     curve = SplitSupercurve.susy(2)
     chi = chi_super(curve, bundle_on(curve, even=(3, -1), odd=(2,)))
-    assert chi.is_integral
+    assert chi.body.denominator == 1 and chi.soul.denominator == 1
 
 
 def test_chi_additive_over_direct_sum():
@@ -162,17 +161,18 @@ def test_chi_additive_over_direct_sum():
 # -- the central identity -----------------------------------------------------------
 
 
-def test_check_sgrr_on_structure_sheaf():
+def test_sgrr_on_structure_sheaf():
     for g in range(4):
         curve = SplitSupercurve.susy(g)
-        assert check_sgrr(curve, bundle_on(curve, even=(0,)))
+        bundle = bundle_on(curve, even=(0,))
+        assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
 
 
-def test_check_sgrr_randomized():
+def test_sgrr_randomized():
     rng = random.Random(42)
     for _ in range(500):
         curve, bundle = random_supercurve_instance(rng)
-        assert check_sgrr(curve, bundle), (curve, bundle)
+        assert chi_super(curve, bundle) == rr_oracle(curve, bundle), (curve, bundle)
 
 
 def test_character_form_equals_integral_form():
@@ -188,12 +188,12 @@ def test_twisted_integrand_reduces_to_plain_one():
     ch_S(x) . td(T_X) . sigma_1(N*) equals ch(x) . td(T_X), which is why
     the engine may integrate the untwisted form.
     """
-    from supergrr import KClass, ch_twisted, sigma1_normal
+    from supergrr import KClass, NormalData, ch_twisted, sigma1_normal
 
     rng = random.Random(47)
     for _ in range(200):
         curve, bundle = random_supercurve_instance(rng)
-        nd = curve.normal_data()
+        nd = NormalData.from_degrees(curve.model, (curve.deg_l,))
         x = KClass(gr_module(curve, bundle).chern_character())
         twisted = ch_twisted(x, nd).ring_mul(curve.todd_class()).ring_mul(sigma1_normal(nd))
         plain = x.ch_image.ring_mul(curve.todd_class())
@@ -204,7 +204,7 @@ def test_normal_data_of_split_supercurve():
     from supergrr import NormalData, sigma1_normal
 
     curve = SplitSupercurve.susy(3)  # deg L = 2
-    nd = curve.normal_data()
+    nd = NormalData.from_degrees(curve.model, (curve.deg_l,))
     assert nd == NormalData.from_degrees(curve.model, [2])
     expected = GradedElement.from_coeffs(curve.model, [2, 2])
     assert sigma1_normal(nd) == expected

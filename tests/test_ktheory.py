@@ -72,7 +72,7 @@ def test_sigma1_leading_term_is_two_to_s():
         model = rng.choice([C0, C2, P2])
         nd = random_normal(rng, model)
         lead = sigma1_normal(nd).coefficient(0)
-        assert lead == SuperScalar(2 ** len(nd.normal))
+        assert lead == SuperScalar(2 ** len(nd.conormal.odd))
 
 
 # -- the map j -------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_embedding_pushforward_two_routes():
         nd = random_normal(rng, model)
         x = random_class(rng, model)
         via_sigma = x.ch_image.ring_mul(sigma1_normal(nd).series_invert())
-        todd_of_normal = nd.normal_bundle().todd()
+        todd_of_normal = nd.conormal.dual().todd()
         via_todd = x.ch_image.ring_mul(todd_of_normal.series_invert())
         assert via_sigma == via_todd
         # the normal-bundle Todd class is itself the sigma_1 class

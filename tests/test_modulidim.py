@@ -375,6 +375,30 @@ def test_evaluate_request_names_missing_key(request_obj, key, where):
 
 
 @pytest.mark.parametrize(
+    "request_obj,key,where",
+    [
+        (
+            {"params": {"g": 0}, "target": {"kind": "point"}, "alternate": True},
+            "alternate",
+            "request",
+        ),
+        ({"params": {"g": 0, "n_RR": 2}, "target": {"kind": "point"}}, "n_RR", "params"),
+        ({"params": {"g": 0}, "target": {"kind": "point", "r": 1}}, "r", "target"),
+        ({"params": {"g": 0}, "target": {"r": 2, "s": 0, "d": 1, "tau": "3"}}, "tau", "target"),
+        (
+            {"params": {"g": 0}, "target": {"kind": "custom", "r": 2, "s": 0, "tua": "3"}},
+            "tua",
+            "target",
+        ),
+    ],
+    ids=["request", "params", "point", "psuper", "custom"],
+)
+def test_evaluate_request_names_unknown_key(request_obj, key, where):
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in {where}$"):
+        evaluate_request(request_obj)
+
+
+@pytest.mark.parametrize(
     "request_obj",
     [{"params": [0], "target": {"kind": "point"}}, {"params": {"g": 0}, "target": "point"}, []],
     ids=["list-params", "string-target", "list-request"],

@@ -310,3 +310,24 @@ def test_json_requires_model_somewhere():
 def test_json_refuses_malformed_model(model):
     with pytest.raises(ValueError):
         SuperBundle.from_json({"model": model, "even_degs": [1]})
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({"even_degs": [1], "odd_deg": [2]}, "odd_deg"),
+        ({"model": {"kind": "curve", "genus": 2}, "even_roots": ["1"], "odd_root": []}, "odd_root"),
+        ({"even_degs": [1], "odd_roots": [2]}, "odd_roots"),
+        ({"even_roots": [1], "odd_degs": [2]}, "even_roots"),
+    ],
+    ids=["misspelt-degs", "misspelt-roots", "mixed-degs-roots", "mixed-roots-degs"],
+)
+def test_json_names_unknown_key(spec, key):
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in bundle spec$"):
+        SuperBundle.from_json(spec, default_model=C2)
+
+
+@pytest.mark.parametrize("spec", [5, "even_degs", [["even_degs", [1]]]], ids=repr)
+def test_json_refuses_non_object_spec(spec):
+    with pytest.raises(ValueError, match="^bundle spec must be a JSON object"):
+        SuperBundle.from_json(spec, default_model=C2)

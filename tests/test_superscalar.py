@@ -172,6 +172,12 @@ def test_json_refuses_inexact_numbers(obj):
         SuperScalar.from_json(obj)
 
 
+@pytest.mark.parametrize("key", ["sould", "Body", "value"])
+def test_json_names_unknown_key(key):
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in scalar$"):
+        SuperScalar.from_json({"body": "1", key: "2"})
+
+
 @pytest.mark.parametrize(
     "body,soul",
     [(0.1, 0), (True, 0), (None, 0), (1, 0.5), (1, False), ("1.5", 0)],
