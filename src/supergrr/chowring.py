@@ -64,9 +64,9 @@ class ChowModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "curve" and self.genus < 0:
+        if self.kind == "curve" and parse_int(self.genus, "genus") < 0:
             raise ValueError("genus must be nonnegative")
-        if self.kind == "projspace" and self.dim < 1:
+        if self.kind == "projspace" and parse_int(self.dim, "dim") < 1:
             raise ValueError("projective dimension must be positive")
 
     @classmethod

@@ -26,7 +26,7 @@ from .modulidim import (
 )
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, parse_rational
-from .suites import run_identity_suites, run_sgrr_sweep
+from .suites import minimal_failure, run_identity_suites, run_sgrr_sweep
 
 CSV_COLUMNS = [
     "g",
@@ -63,7 +63,9 @@ def build_parser() -> _Parser:
     vdim.add_argument("--d", type=int, default=0)
     vdim.add_argument("--tau", type=_rational, default=Fraction(0))
     vdim.add_argument("--phi-int", type=_rational, default=Fraction(0))
-    _add_source_flags(vdim)
+    vdim.add_argument("--g", type=int, default=0, help="genus")
+    vdim.add_argument("--ns", type=int, default=0, help="Neveu-Schwarz punctures")
+    vdim.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
     vdim.add_argument("--json", action="store_true", help="print only the JSON document")
     vdim.add_argument(
         "--use-paper-dimmod2-sign",
@@ -72,7 +74,8 @@ def build_parser() -> _Parser:
     )
 
     chi = sub.add_parser("chi", help="super Euler characteristic of a bundle spec")
-    _add_source_flags(chi)
+    chi.add_argument("--g", type=int, default=0, help="genus")
+    chi.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
     chi.add_argument(
         "--bundle",
         required=True,
@@ -119,12 +122,6 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_source_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--g", type=int, default=0, help="genus")
-    sub.add_argument("--ns", type=int, default=0, help="Neveu-Schwarz punctures")
-    sub.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
 
 
 _RANGE_CHUNK = re.compile(r"([+-]?[0-9]+)(?:\.\.([+-]?[0-9]+))?")
@@ -243,17 +240,13 @@ def _cmd_grr_check(args) -> int:
                     "seed": args.seed,
                     "cases": result.cases,
                     "passed": result.passed,
-                    "failures": result.failures[:5],
+                    "failures": [t for _, t in result.failures[:5]],
                 }
             )
         )
     else:
         print(line)
-    if not result.ok:
-        print("minimal counterexample:", file=sys.stderr)
-        print("  " + min(result.failures, key=len), file=sys.stderr)
-        return 2
-    return 0
+    return _report_failures([result])
 
 
 def _cmd_table(args) -> int:
@@ -269,7 +262,7 @@ def _cmd_table(args) -> int:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         rows = 0
-        for point in itertools.product(*[itertools.chain.from_iterable(axis) for axis in axes]):
+        for point in _grid(axes):
             params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
             value = vdim_closed(params, target)
             bosonic = bosonic_dimension(params, target)
@@ -287,9 +280,18 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _grid(axes):
+    """The product of the axes in itertools.product order; no axis is held in memory."""
+    if not axes:
+        yield ()
+        return
+    for value in itertools.chain.from_iterable(axes[0]):
+        for rest in _grid(axes[1:]):
+            yield (value, *rest)
+
+
 def _cmd_identities(args) -> int:
     results = run_identity_suites(args.seed, args.cases)
-    failed = [r for r in results if not r.ok]
     if args.json:
         print(
             json.dumps(
@@ -297,7 +299,7 @@ def _cmd_identities(args) -> int:
                     "seed": args.seed,
                     "cases": args.cases,
                     "suites": {
-                        r.name: {"passed": r.passed, "failures": r.failures[:5]}
+                        r.name: {"passed": r.passed, "failures": [t for _, t in r.failures[:5]]}
                         for r in results
                     },
                 }
@@ -307,12 +309,17 @@ def _cmd_identities(args) -> int:
         print(f"identities: seed={args.seed} cases-per-suite={args.cases}")
         for result in results:
             print("  " + result.summary())
-    if failed:
-        worst = failed[0]
-        print("minimal counterexample:", file=sys.stderr)
-        print("  " + min(worst.failures, key=len), file=sys.stderr)
-        return 2
-    return 0
+    return _report_failures(results)
+
+
+def _report_failures(results) -> int:
+    """Exit 2 with the minimal counterexample of all suites on stderr, or 0 if none failed."""
+    failure = minimal_failure(results)
+    if failure is None:
+        return 0
+    print("minimal counterexample:", file=sys.stderr)
+    print("  " + failure, file=sys.stderr)
+    return 2
 
 
 _COMMANDS = {

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chowring import ChowModel, GradedElement, ModelMismatch
+from .chowring import ChowModel, GradedElement
 from .superbundle import SuperBundle
 
 
@@ -69,11 +69,6 @@ class KClass:
         return KClass(self.ch_image.ring_mul(other.ch_image))
 
 
-def _check_model(x_model: ChowModel, nd: NormalData) -> None:
-    if x_model != nd.model:
-        raise ModelMismatch(f"{x_model} vs {nd.model}")
-
-
 @lru_cache(maxsize=16)
 def _sigma1_classes(conormal: SuperBundle) -> tuple[GradedElement, GradedElement]:
     """sigma_1(N*) and its inverse, shared by every call on the same conormal bundle."""
@@ -87,14 +82,11 @@ def sigma1_normal(nd: NormalData) -> GradedElement:
 
 def j_map(x: KClass, nd: NormalData) -> KClass:
     """Multiplication by sigma_1(N*): the class of the twisted graded module."""
-    _check_model(x.model, nd)
     return KClass(x.ch_image.ring_mul(sigma1_normal(nd)))
 
 
 def star_product(x: KClass, y: KClass, nd: NormalData) -> KClass:
     """x * y = x . y . sigma_1(N*)**-1, with identity sigma_1(N*)."""
-    _check_model(x.model, nd)
-    _check_model(y.model, nd)
     product = x.ch_image.ring_mul(y.ch_image)
     return KClass(product.ring_mul(_sigma1_classes(nd.conormal)[1]))
 
@@ -105,5 +97,4 @@ def star_identity(nd: NormalData) -> KClass:
 
 def ch_twisted(x: KClass, nd: NormalData) -> GradedElement:
     """Twisted character ch_S(x) = ch(x . sigma_1(N*)**-1)."""
-    _check_model(x.model, nd)
     return x.ch_image.ring_mul(_sigma1_classes(nd.conormal)[1])

@@ -218,7 +218,12 @@ def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
 
 
 def properness_hint(target: TargetSpec, params: ModuliParams) -> Properness:
-    """Proper iff s = 0, or both the image degree and n_rr vanish."""
+    """Proper iff s = 0, or both the image degree and n_rr vanish, for a generic spin structure.
+
+    At d = 0, n_rr = 0, g >= 1 and s >= 1 the odd spin structures have
+    h0(L) >= 1 (Atiyah 1971; Mumford 1971): on those components the fibre
+    contains A^s, and the hint still reads proper.
+    """
     if target.kind != "psuper":
         raise ValueError("properness hint is defined for projective-superspace targets")
     if target.s == 0 or (target.d == 0 and params.n_rr == 0):

@@ -45,6 +45,17 @@ def test_model_validation():
         ChowModel("plane")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ChowModel.proj_space(2.0), lambda: ChowModel.curve(1.5),
+     lambda: ChowModel.curve(True), lambda: ChowModel.proj_space(True)],
+    ids=["proj_space(2.0)", "curve(1.5)", "curve(True)", "proj_space(True)"],
+)
+def test_model_refuses_non_integer_sizes(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
 def test_model_json_round_trip():
     for model in [POINT, CURVE2, P3]:
         assert ChowModel.from_json(model.to_json()) == model

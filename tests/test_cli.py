@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -186,6 +187,16 @@ def test_chi_names_unknown_bundle_key(capsys):
     assert (code, out, err) == (1, "", "error: unknown key 'odd_deg' in bundle spec\n")
 
 
+def test_chi_has_no_ns_flag(capsys):
+    # chi reads only the genus and the Ramond count
+    code, out, err = run_cli(
+        capsys, "chi", "--g", "0", "--ns", "5", "--bundle", '{"even_degs": [1]}'
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--ns" in err
+
+
 def test_chi_rejects_odd_rr(capsys):
     code, _, err = run_cli(
         capsys, "chi", "--g", "0", "--rr", "1", "--bundle", '{"even_degs": [0]}'
@@ -268,25 +279,65 @@ def test_grr_check_failure_reporting(capsys, monkeypatch):
     from supergrr import cli as cli_module
     from supergrr.suites import SuiteResult
 
-    fake = SuiteResult("sgrr", 3, failures=["case 2: long counterexample text", "case 1: boom"])
+    # the shorter text has the larger size: the size decides, not the length
+    fake = SuiteResult(
+        "sgrr", 3,
+        failures=[(9, "case 1 (size 9): boom"), (4, "case 2 (size 4): long counterexample text")],
+    )
     monkeypatch.setattr(cli_module, "run_sgrr_sweep", lambda seed, cases: fake)
     code, out, err = run_cli(capsys, "grr-check", "--seed", "0", "--cases", "3")
     assert code == 2
     assert "passed=1 failed=2" in out
-    assert "minimal counterexample" in err
-    assert "case 1: boom" in err  # the shortest failure is the one reported
+    assert err == "minimal counterexample:\n  case 2 (size 4): long counterexample text\n"
 
 
 def test_identities_failure_reporting(capsys, monkeypatch):
     from supergrr import cli as cli_module
     from supergrr.suites import SuiteResult
 
-    fake = [SuiteResult("whitney", 2, failures=["case 0: mismatch"])]
+    # the first failing suite holds only the larger failure
+    fake = [
+        SuiteResult("whitney", 2, failures=[(8, "case 0 (size 8): mismatch")]),
+        SuiteResult("parity-rules", 2, failures=[]),
+        SuiteResult("star-ring", 3, failures=[
+            (6, "case 0 (size 6): j(x)*j(y) != j(xy) over a long description"),
+            (3, "case 2 (size 3): sigma_1 is not a star unit over a long description"),
+        ]),
+    ]
     monkeypatch.setattr(cli_module, "run_identity_suites", lambda seed, cases: fake)
     code, out, err = run_cli(capsys, "identities")
     assert code == 2
-    assert "whitney: 1/2 FAIL" in out
-    assert "case 0: mismatch" in err
+    assert "whitney: 1/2 FAIL" in out and "star-ring: 1/3 FAIL" in out
+    assert err == (
+        "minimal counterexample:\n"
+        "  case 2 (size 3): sigma_1 is not a star unit over a long description\n"
+    )
+
+
+def test_failing_runs_report_case_and_size(capsys, monkeypatch):
+    from supergrr import suites
+
+    # an oracle that never agrees makes every case of the real sweep fail
+    monkeypatch.setattr(suites, "rr_oracle", lambda curve, bundle: None)
+    code, out, err = run_cli(capsys, "grr-check", "--seed", "3", "--cases", "6", "--json")
+    assert code == 2
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 5 and all(isinstance(text, str) for text in failures)
+    assert [text.split(" (size ")[0] for text in failures] == [f"case {i}" for i in range(5)]
+    sizes = [int(text.split(" (size ")[1].split(")")[0]) for text in failures]
+    assert f"(size {min(sizes)})" in err.splitlines()[1]
+
+
+def test_identities_json_failures_are_strings(capsys, monkeypatch):
+    from supergrr import ktheory
+
+    monkeypatch.setattr(ktheory, "star_product", lambda x, y, nd: x)
+    code, out, err = run_cli(capsys, "identities", "--seed", "1", "--cases", "2", "--json")
+    assert code == 2
+    suites = json.loads(out)["suites"]
+    assert suites["star-ring"]["failures"][0].startswith("case 0 (size ")
+    assert suites["whitney"]["failures"] == []
+    assert err.startswith("minimal counterexample:\n  case ")
 
 
 def test_grr_check_json(capsys):
@@ -404,6 +455,32 @@ def test_table_names_flag_and_chunk_of_bad_range(capsys, chunk):
 def test_parse_range_keeps_chunks_as_ranges():
     # a range this long would take hundreds of gigabytes as a list
     assert _parse_range("g", "0..100000000000, 7") == (range(0, 100000000001), range(7, 8))
+
+
+# The child gets 1 GiB of address space, so a grid that builds its 10**11-value
+# axis fails there with MemoryError instead of filling the machine's memory.
+_BOUNDED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from supergrr.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_table_streams_a_huge_range_without_building_it(capsys):
+    flags = ["--ns", "0", "--rr", "0", "--r", "1", "--s", "0", "--d", "0..2"]
+    start = time.perf_counter()
+    with subprocess.Popen(
+        [sys.executable, "-u", "-c", _BOUNDED_CLI, "table", "--g", "0..100000000000", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(6)]
+        elapsed = time.perf_counter() - start
+        proc.kill()
+        _, err = proc.communicate()
+    # interpreter start included; header plus the rows g = 0 (d = 0..2) and g = 1 (d = 0, 1)
+    assert elapsed < 1.0, err
+    code, out, _ = run_cli(capsys, "table", "--g", "0..1", *flags)
+    assert code == 0
+    assert "".join(head) == "".join(out.splitlines(keepends=True)[:6]), err
 
 
 @pytest.mark.parametrize("flag,value", [("--g", "0,-1"), ("--d", "2..3,-1"), ("--r", "2,0")])

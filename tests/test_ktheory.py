@@ -100,6 +100,21 @@ def test_j_model_mismatch():
         j_map(KClass(GradedElement.one(C0)), NormalData.bosonic(C2))
 
 
+def test_star_product_model_mismatch():
+    x, y = KClass(GradedElement.one(C0)), KClass(GradedElement.one(C2))
+    with pytest.raises(ModelMismatch):
+        star_product(x, x, NormalData.bosonic(C2))
+    with pytest.raises(ModelMismatch):
+        star_product(x, y, NormalData.bosonic(C2))
+    with pytest.raises(ModelMismatch):
+        star_product(y, x, NormalData.bosonic(C2))
+
+
+def test_ch_twisted_model_mismatch():
+    with pytest.raises(ModelMismatch):
+        ch_twisted(KClass(GradedElement.one(C0)), NormalData.from_degrees(C2, [1]))
+
+
 # -- star product ------------------------------------------------------------------
 
 
