@@ -30,13 +30,22 @@ arise in these models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .superscalar import ZERO, SuperScalar, check_keys, coerce, parse_int, require_key
+from .superscalar import (
+    ZERO,
+    SuperScalar,
+    Value,
+    check_keys,
+    coerce,
+    parse_int,
+    require_key,
+    set_field,
+)
 
 CoeffLike = Union[SuperScalar, int, Fraction]
 
@@ -53,33 +62,44 @@ class NotNilpotent(ValueError):
 _KINDS = {"point": ("kind",), "curve": ("kind", "genus"), "projspace": ("kind", "r")}
 
 
-@dataclass(frozen=True, slots=True)
-class ChowModel:
-    """Base variety selector: point, curve of genus g, or P^r."""
+class ChowModel(Value):
+    """Base variety selector: point, curve of genus g, or P^r.
 
-    kind: str
-    genus: int = 0
-    dim: int = 0
+    A kind uses at most one size, genus for a curve and dim for P^r; the
+    size it does not use must be 0.  The named constructors point, curve
+    and proj_space hand out one shared instance per size, so models
+    built the same way are usually identical, not merely equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "curve" and parse_int(self.genus, "genus") < 0:
+    __slots__ = ("kind", "genus", "dim")
+
+    def __init__(self, kind: str, genus: int = 0, dim: int = 0) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        genus, dim = parse_int(genus, "genus"), parse_int(dim, "dim")
+        if kind == "curve" and genus < 0:
             raise ValueError("genus must be nonnegative")
-        if self.kind == "projspace" and parse_int(self.dim, "dim") < 1:
+        if kind == "projspace" and dim < 1:
             raise ValueError("projective dimension must be positive")
+        if dim and kind != "projspace":
+            raise ValueError(f"a {kind} model has no dim, got {dim}")
+        if genus and kind != "curve":
+            raise ValueError(f"a {kind} model has no genus, got {genus}")
+        set_field(self, "kind", kind)
+        set_field(self, "genus", genus)
+        set_field(self, "dim", dim)
 
-    @classmethod
-    def point(cls) -> "ChowModel":
-        return cls("point")
+    @staticmethod
+    def point() -> "ChowModel":
+        return _shared_model("point", 0, 0)
 
-    @classmethod
-    def curve(cls, genus: int) -> "ChowModel":
-        return cls("curve", genus=genus)
+    @staticmethod
+    def curve(genus: int) -> "ChowModel":
+        return _shared_model("curve", parse_int(genus, "genus"), 0)
 
-    @classmethod
-    def proj_space(cls, dim: int) -> "ChowModel":
-        return cls("projspace", dim=dim)
+    @staticmethod
+    def proj_space(dim: int) -> "ChowModel":
+        return _shared_model("projspace", 0, parse_int(dim, "dim"))
 
     @property
     def top_degree(self) -> int:
@@ -122,8 +142,11 @@ class ChowModel:
         return cls.proj_space(parse_int(require_key(obj, "r", "model"), "r"))
 
 
-@dataclass(frozen=True, slots=True)
-class GradedElement:
+# keyed on sizes already read by parse_int, so True or 1.0 never finds the model of 1
+_shared_model = lru_cache(maxsize=256)(ChowModel)
+
+
+class GradedElement(Value):
     """Ring element stored by its values at P = +1 and P = -1.
 
     The degree-k coefficient is plus[k] / denominator at P = +1 and
@@ -133,10 +156,15 @@ class GradedElement:
     constructors, which reduce to that canonical form.
     """
 
-    model: ChowModel
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    denominator: int
+    __slots__ = ("model", "plus", "minus", "denominator")
+
+    def __init__(
+        self, model: ChowModel, plus: tuple[int, ...], minus: tuple[int, ...], denominator: int
+    ) -> None:
+        set_field(self, "model", model)
+        set_field(self, "plus", plus)
+        set_field(self, "minus", minus)
+        set_field(self, "denominator", denominator)
 
     # -- constructors ---------------------------------------------------
 
@@ -211,7 +239,7 @@ class GradedElement:
     # -- ring structure ---------------------------------------------------
 
     def _check_model(self, other: "GradedElement") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
 
     def __add__(self, other: "GradedElement") -> "GradedElement":

@@ -17,13 +17,12 @@ P chi(odd part) as a SuperScalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, parse_int, parse_rational
+from .superscalar import SuperScalar, Value, parse_int, parse_rational, set_field
 
 
 @lru_cache(maxsize=None)
@@ -40,18 +39,17 @@ class InvalidRank(ValueError):
     """Target rank data that cannot be realized as a root bundle."""
 
 
-@dataclass(frozen=True, slots=True)
-class SplitSupercurve:
+class SplitSupercurve(Value):
     """Genus-g curve with odd direction twisted by a degree deg_l line bundle."""
 
-    genus: int
-    deg_l: Fraction
+    __slots__ = ("genus", "deg_l")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "genus", parse_int(self.genus, "genus"))
-        if self.genus < 0:
+    def __init__(self, genus: int, deg_l: Fraction) -> None:
+        genus = parse_int(genus, "genus")
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        object.__setattr__(self, "deg_l", parse_rational(self.deg_l, "deg_l"))
+        set_field(self, "genus", genus)
+        set_field(self, "deg_l", parse_rational(deg_l, "deg_l"))
 
     @classmethod
     def susy(cls, genus: int, n_rr: int = 0) -> "SplitSupercurve":
@@ -66,6 +64,7 @@ class SplitSupercurve:
 
     @property
     def model(self) -> ChowModel:
+        """The genus-g curve model, shared rather than rebuilt on each access."""
         return ChowModel.curve(self.genus)
 
     def todd_class(self) -> GradedElement:
@@ -73,8 +72,9 @@ class SplitSupercurve:
 
 
 def _check_curve_bundle(curve: SplitSupercurve, bundle: SuperBundle) -> None:
-    if bundle.model != curve.model:
-        raise ModelMismatch(f"bundle on {bundle.model}, supercurve on {curve.model}")
+    model = curve.model
+    if bundle.model is not model and bundle.model != model:
+        raise ModelMismatch(f"bundle on {bundle.model}, supercurve on {model}")
 
 
 def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
@@ -92,7 +92,7 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     shift = curve.deg_l.numerator * den
     even = bundle.even + tuple([m + shift for m in bundle.odd])
     odd = bundle.odd + tuple([a + shift for a in bundle.even])
-    return SuperBundle(curve.model, even, odd, den)
+    return SuperBundle(bundle.model, even, odd, den)
 
 
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

@@ -22,22 +22,24 @@ degrees with NormalData.from_degrees; neither has a JSON form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement
 from .superbundle import SuperBundle
+from .superscalar import Value, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class NormalData:
+class NormalData(Value):
     """The conormal sheaf N* of X in the ambient superscheme, as a rank 0|s bundle.
 
     Build normal data with from_degrees or bosonic; the raw constructor
     NormalData(conormal) takes the SuperBundle as it is.
     """
 
-    conormal: SuperBundle
+    __slots__ = ("conormal",)
+
+    def __init__(self, conormal: SuperBundle) -> None:
+        set_field(self, "conormal", conormal)
 
     @classmethod
     def bosonic(cls, model: ChowModel) -> "NormalData":
@@ -54,11 +56,13 @@ class NormalData:
         return self.conormal.model
 
 
-@dataclass(frozen=True, slots=True)
-class KClass:
+class KClass(Value):
     """K-theory class identified with its Chern-character image."""
 
-    ch_image: GradedElement
+    __slots__ = ("ch_image",)
+
+    def __init__(self, ch_image: GradedElement) -> None:
+        set_field(self, "ch_image", ch_image)
 
     @property
     def model(self) -> ChowModel:

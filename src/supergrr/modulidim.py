@@ -23,28 +23,34 @@ Python warnings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .grr import InvalidRank, SplitSupercurve, chi_super, pullback_tangent
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, check_keys, parse_int, parse_rational, require_key
+from .superscalar import (
+    SuperScalar,
+    Value,
+    check_keys,
+    parse_int,
+    parse_rational,
+    require_key,
+    set_field,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class ModuliParams:
+class ModuliParams(Value):
     """Genus and puncture counts of the source supercurves."""
 
-    g: int
-    n_ns: int = 0
-    n_rr: int = 0
+    __slots__ = ("g", "n_ns", "n_rr")
 
-    def __post_init__(self) -> None:
-        for name in ("g", "n_ns", "n_rr"):
-            object.__setattr__(self, name, parse_int(getattr(self, name), name))
-        if self.g < 0 or self.n_ns < 0 or self.n_rr < 0:
+    def __init__(self, g: int, n_ns: int = 0, n_rr: int = 0) -> None:
+        g, n_ns, n_rr = parse_int(g, "g"), parse_int(n_ns, "n_ns"), parse_int(n_rr, "n_rr")
+        if g < 0 or n_ns < 0 or n_rr < 0:
             raise ValueError("genus and puncture counts must be nonnegative")
+        set_field(self, "g", g)
+        set_field(self, "n_ns", n_ns)
+        set_field(self, "n_rr", n_rr)
 
     def to_json(self) -> dict:
         return {"g": self.g, "n_ns": self.n_ns, "n_rr": self.n_rr}
@@ -55,8 +61,7 @@ class ModuliParams:
         return cls(require_key(obj, "g", "params"), obj.get("n_ns", 0), obj.get("n_rr", 0))
 
 
-@dataclass(frozen=True, slots=True)
-class TargetSpec:
+class TargetSpec(Value):
     """Smooth target of dimension r|s with degree data over the image cycle.
 
     tau is the even tangent degree integral; phi_int the integral of the
@@ -64,23 +69,21 @@ class TargetSpec:
     degree d these specialize to tau = d(r+1) and phi_int = -s d.
     """
 
-    r: int
-    s: int
-    tau: Fraction
-    phi_int: Fraction
-    d: Optional[int] = None
+    __slots__ = ("r", "s", "tau", "phi_int", "d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", parse_int(self.r, "r"))
-        object.__setattr__(self, "s", parse_int(self.s, "s"))
-        if self.d is not None:
-            object.__setattr__(self, "d", parse_int(self.d, "d"))
-        if self.r < 0 or self.s < 0:
+    def __init__(
+        self, r: int, s: int, tau: Fraction, phi_int: Fraction, d: Optional[int] = None
+    ) -> None:
+        r, s = parse_int(r, "r"), parse_int(s, "s")
+        if d is not None:
+            d = parse_int(d, "d")
+        if r < 0 or s < 0:
             raise ValueError("target ranks must be nonnegative")
-        if type(self.tau) is not Fraction:
-            object.__setattr__(self, "tau", parse_rational(self.tau, "tau"))
-        if type(self.phi_int) is not Fraction:
-            object.__setattr__(self, "phi_int", parse_rational(self.phi_int, "phi_int"))
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "tau", parse_rational(tau, "tau"))
+        set_field(self, "phi_int", parse_rational(phi_int, "phi_int"))
+        set_field(self, "d", d)
 
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":

@@ -11,7 +11,6 @@ tolerances anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -20,14 +19,23 @@ from .chowring import ChowModel, GradedElement
 from .grr import SplitSupercurve, chi_character_form, chi_super, rr_oracle
 from .ktheory import KClass, NormalData
 from .superbundle import SuperBundle
-from .superscalar import PI, SuperScalar, pi_power
+from .superscalar import PI, SuperScalar, Value, pi_power
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[tuple[Fraction, str]] = field(default_factory=list)
+class SuiteResult(Value):
+    """A suite's name, case count and failures; a mutable record, hence unhashable."""
+
+    __slots__ = ("name", "cases", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, name: str, cases: int, failures: list[tuple[Fraction, str]] | None = None
+    ) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> int:

@@ -39,14 +39,13 @@ as integer numerators over a common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
 from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator, lowest_terms
-from .superscalar import SuperScalar, check_keys, parse_rational
+from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field
 
 Numerators = tuple[int, ...]
 
@@ -55,8 +54,7 @@ class NotPurelyOdd(ValueError):
     """sigma_1 is only defined here for bundles of rank 0|s."""
 
 
-@dataclass(frozen=True, slots=True)
-class SuperBundle:
+class SuperBundle(Value):
     """Split super vector bundle of rank r|s given by its Chern-root degrees.
 
     The even root degrees are even[i] / denominator and the odd ones
@@ -65,10 +63,15 @@ class SuperBundle:
     or zero, which produce that canonical form.
     """
 
-    model: ChowModel
-    even: Numerators
-    odd: Numerators
-    denominator: int
+    __slots__ = ("model", "even", "odd", "denominator")
+
+    def __init__(
+        self, model: ChowModel, even: Numerators, odd: Numerators, denominator: int
+    ) -> None:
+        set_field(self, "model", model)
+        set_field(self, "even", even)
+        set_field(self, "odd", odd)
+        set_field(self, "denominator", denominator)
 
     # -- constructors --------------------------------------------------
 
@@ -200,7 +203,7 @@ class SuperBundle:
 
     def _common_denominator(self, other: "SuperBundle") -> tuple[int, int, int]:
         """The lcm of both denominators and the factors that bring each operand to it."""
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
         den = lcm(self.denominator, other.denominator)
         return den, den // self.denominator, den // other.denominator

@@ -20,13 +20,20 @@ should not carry, so a misspelt key is never read as its default.
 Inside the program, the ring operations take a SuperScalar, an int or a
 Fraction operand; ``coerce`` refuses a bool, like any other non-number,
 with TypeError.
+
+``Value``, the base of every record type in the package, lives here, in
+the lowest layer.  A subclass names its fields in ``__slots__`` and sets
+them once in ``__init__`` with ``set_field``; the base supplies ==, hash,
+repr, copying and pickling over those fields and refuses any later
+assignment.  Plain slotted classes generate no code at import, which
+keeps the package's start-up cheap.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -36,18 +43,57 @@ class NotInvertible(ArithmeticError):
     """Inversion of a zero divisor of Q[P] (body**2 == soul**2)."""
 
 
-@dataclass(frozen=True, slots=True)
-class SuperScalar:
+# sets a field of a Value inside its __init__, past the refusing __setattr__
+set_field = object.__setattr__
+
+
+class Value:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    Two values are equal when they have the same class and equal fields,
+    equal values hash equal, and repr lists the fields as
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute
+    raises AttributeError.  Copies and pickles are rebuilt by calling the
+    class with the fields positionally, so ``__init__`` takes them in
+    that order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields, read in C, for == and hash: a tuple, or the value of a lone field
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
+
+
+class SuperScalar(Value):
     """Element body + P*soul of Q[P] with P**2 = 1."""
 
-    body: Fraction
-    soul: Fraction = Fraction(0)
+    __slots__ = ("body", "soul")
 
-    def __post_init__(self) -> None:
-        if type(self.body) is not Fraction:
-            object.__setattr__(self, "body", parse_rational(self.body, "body"))
-        if type(self.soul) is not Fraction:
-            object.__setattr__(self, "soul", parse_rational(self.soul, "soul"))
+    def __init__(self, body: Fraction, soul: Fraction = Fraction(0)) -> None:
+        set_field(self, "body", body if type(body) is Fraction else parse_rational(body, "body"))
+        set_field(self, "soul", soul if type(soul) is Fraction else parse_rational(soul, "soul"))
 
     # -- ring operations ---------------------------------------------
 

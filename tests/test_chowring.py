@@ -56,6 +56,25 @@ def test_model_refuses_non_integer_sizes(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "kind,genus,dim",
+    [("curve", 1, 2), ("point", 1, 0), ("point", 0, 3), ("projspace", 2, 3), ("point", 1.5, 0)],
+    ids=repr,
+)
+def test_model_refuses_a_size_its_kind_does_not_use(kind, genus, dim):
+    # a curve with a dim would print as curve(g=1) yet differ from ChowModel.curve(1)
+    with pytest.raises(ValueError):
+        ChowModel(kind, genus, dim)
+
+
+def test_model_constructors_share_one_instance_per_size():
+    assert ChowModel.curve(2) is ChowModel.curve(2) is CURVE2
+    assert ChowModel.proj_space(3) is P3
+    assert ChowModel.point() is POINT
+    assert ChowModel("curve", 2) == CURVE2 and ChowModel("curve", 2) is not CURVE2
+    assert ChowModel.curve(2) is not ChowModel.curve(3)
+
+
 def test_model_json_round_trip():
     for model in [POINT, CURVE2, P3]:
         assert ChowModel.from_json(model.to_json()) == model

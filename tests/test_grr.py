@@ -40,6 +40,12 @@ def test_susy_rejects_odd_rr():
         SplitSupercurve.susy(1, 3)
 
 
+def test_supercurve_model_is_shared():
+    curve = SplitSupercurve(2, 1)
+    assert curve.model is curve.model is ChowModel.curve(2)
+    assert SplitSupercurve.susy(2).model is curve.model
+
+
 def test_negative_genus_rejected():
     with pytest.raises(ValueError):
         SplitSupercurve(-1, Fraction(0))
