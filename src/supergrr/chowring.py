@@ -30,11 +30,11 @@ arise in these models.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
 
 from .superscalar import (
     ZERO,
@@ -46,8 +46,6 @@ from .superscalar import (
     require_key,
     set_field,
 )
-
-CoeffLike = Union[SuperScalar, int, Fraction]
 
 
 class ModelMismatch(ValueError):
@@ -185,7 +183,9 @@ class GradedElement(Value):
         return cls(model, *lowest_terms(plus, minus, denominator))
 
     @classmethod
-    def from_coeffs(cls, model: ChowModel, coeffs: Iterable[CoeffLike]) -> "GradedElement":
+    def from_coeffs(
+        cls, model: ChowModel, coeffs: Iterable[SuperScalar | int | Fraction]
+    ) -> "GradedElement":
         """The element with the given per-degree coefficients, padded with zeros."""
         values = [coerce(c) for c in coeffs]
         width = model.top_degree + 1
@@ -203,11 +203,13 @@ class GradedElement(Value):
         return cls.from_coeffs(model, (1,))
 
     @classmethod
-    def scalar(cls, model: ChowModel, value: CoeffLike) -> "GradedElement":
+    def scalar(cls, model: ChowModel, value: SuperScalar | int | Fraction) -> "GradedElement":
         return cls.from_coeffs(model, (value,))
 
     @classmethod
-    def monomial(cls, model: ChowModel, degree: int, value: CoeffLike = 1) -> "GradedElement":
+    def monomial(
+        cls, model: ChowModel, degree: int, value: SuperScalar | int | Fraction = 1
+    ) -> "GradedElement":
         if not 0 <= degree <= model.top_degree:
             raise ValueError(f"degree {degree} out of range for {model}")
         return cls.from_coeffs(model, [0] * degree + [value])
@@ -272,7 +274,7 @@ class GradedElement(Value):
             self.denominator * other.denominator,
         )
 
-    def scale(self, value: CoeffLike) -> "GradedElement":
+    def scale(self, value: SuperScalar | int | Fraction) -> "GradedElement":
         (p,), (m,), denominator = _split([coerce(value)])
         return GradedElement.from_split(
             self.model,
@@ -281,12 +283,12 @@ class GradedElement(Value):
             self.denominator * denominator,
         )
 
-    def __mul__(self, other: "GradedElement | CoeffLike") -> "GradedElement":
+    def __mul__(self, other: "GradedElement | SuperScalar | int | Fraction") -> "GradedElement":
         if isinstance(other, GradedElement):
             return self.ring_mul(other)
         return self.scale(other)
 
-    def __rmul__(self, other: CoeffLike) -> "GradedElement":
+    def __rmul__(self, other: SuperScalar | int | Fraction) -> "GradedElement":
         return self.scale(other)
 
     def series_invert(self) -> "GradedElement":

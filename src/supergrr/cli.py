@@ -7,13 +7,11 @@ identity check fails (a minimal counterexample is printed).
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .grr import SplitSupercurve, chi_super, rr_oracle
 from .modulidim import (
@@ -26,7 +24,6 @@ from .modulidim import (
 )
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, parse_rational
-from .suites import minimal_failure, run_identity_suites, run_sgrr_sweep
 
 CSV_COLUMNS = [
     "g",
@@ -58,14 +55,14 @@ def build_parser() -> _Parser:
 
     vdim = sub.add_parser("vdim", help="virtual dimension of the supermap moduli")
     vdim.add_argument("--target", choices=["psuper", "custom", "point"], default="psuper")
-    vdim.add_argument("--r", type=int, default=1)
-    vdim.add_argument("--s", type=int, default=0)
-    vdim.add_argument("--d", type=int, default=0)
+    vdim.add_argument("--r", type=_int, default=1)
+    vdim.add_argument("--s", type=_int, default=0)
+    vdim.add_argument("--d", type=_int, default=0)
     vdim.add_argument("--tau", type=_rational, default=Fraction(0))
     vdim.add_argument("--phi-int", type=_rational, default=Fraction(0))
-    vdim.add_argument("--g", type=int, default=0, help="genus")
-    vdim.add_argument("--ns", type=int, default=0, help="Neveu-Schwarz punctures")
-    vdim.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
+    vdim.add_argument("--g", type=_int, default=0, help="genus")
+    vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
+    vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
     vdim.add_argument("--json", action="store_true", help="print only the JSON document")
     vdim.add_argument(
         "--use-paper-dimmod2-sign",
@@ -74,8 +71,8 @@ def build_parser() -> _Parser:
     )
 
     chi = sub.add_parser("chi", help="super Euler characteristic of a bundle spec")
-    chi.add_argument("--g", type=int, default=0, help="genus")
-    chi.add_argument("--rr", type=int, default=0, help="Ramond-Ramond punctures")
+    chi.add_argument("--g", type=_int, default=0, help="genus")
+    chi.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
     chi.add_argument(
         "--bundle",
         required=True,
@@ -84,7 +81,7 @@ def build_parser() -> _Parser:
     chi.add_argument("--json", action="store_true")
 
     check = sub.add_parser("grr-check", help="randomized Riemann-Roch identity sweep")
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_int, default=0)
     check.add_argument("--cases", type=_case_count, default=1000)
     check.add_argument("--json", action="store_true")
 
@@ -98,19 +95,33 @@ def build_parser() -> _Parser:
     table.add_argument("--csv", metavar="PATH", default=None, help="output path (default stdout)")
 
     ident = sub.add_parser("identities", help="characteristic-class identity suites")
-    ident.add_argument("--seed", type=int, default=0)
+    ident.add_argument("--seed", type=_int, default=0)
     ident.add_argument("--cases", type=_case_count, default=500)
     ident.add_argument("--json", action="store_true")
 
     return parser
 
 
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An ASCII [+-]digits argument, the integer grammar of every other reader.
+
+    int() alone would also take other scripts' digits, underscores and
+    surrounding blanks.
+    """
+    if _INT_TEXT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _case_count(text: str) -> int:
     """A run that checks nothing is refused: the count must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -185,11 +196,14 @@ def _cmd_vdim(args) -> int:
 
 def _load_bundle_spec(text: str) -> dict:
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
+        with open(text[1:], encoding="utf-8") as handle:
+            text = handle.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid bundle JSON: {exc}") from exc
+    except RecursionError:
+        raise CliError("invalid bundle JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise CliError("bundle spec must be a JSON object")
     return obj
@@ -228,7 +242,9 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_grr_check(args) -> int:
-    result = run_sgrr_sweep(args.seed, args.cases)
+    from . import suites
+
+    result = suites.run_sgrr_sweep(args.seed, args.cases)
     line = (
         f"grr-check: seed={args.seed} cases={result.cases} "
         f"passed={result.passed} failed={len(result.failures)}"
@@ -250,6 +266,8 @@ def _cmd_grr_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    import csv
+
     axes = [_parse_range(flag, getattr(args, flag)) for flag in ("g", "ns", "rr", "r", "s", "d")]
     # Every constraint on a row is a lower bound, so the smallest value of
     # each flag fails whenever any row would: bad input is refused before
@@ -291,7 +309,9 @@ def _grid(axes):
 
 
 def _cmd_identities(args) -> int:
-    results = run_identity_suites(args.seed, args.cases)
+    from . import suites
+
+    results = suites.run_identity_suites(args.seed, args.cases)
     if args.json:
         print(
             json.dumps(
@@ -314,6 +334,8 @@ def _cmd_identities(args) -> int:
 
 def _report_failures(results) -> int:
     """Exit 2 with the minimal counterexample of all suites on stderr, or 0 if none failed."""
+    from .suites import minimal_failure
+
     failure = minimal_failure(results)
     if failure is None:
         return 0

@@ -8,6 +8,13 @@ Two independent routes are implemented and cross-checked:
   computed through the Riemann-Roch engine on a split supercurve with
   spin twist deg L = g - 1 + n_rr/2.
 
+The closed route computes in integers over one denominator 2q, with q
+the common denominator of the target's degree data, and builds a
+Fraction only for each part of its result; chi_gauge and
+bosonic_dimension do the same over the denominator 2.  The closed route
+stays independent: it reads neither the assembled route nor chi_gauge,
+and bosonic_dimension does not read it.
+
 The closed formula's odd part carries a coefficient (1-g)(s-2).  An
 alternate (1-g)(s+2) reading of that factor exists in print; the two
 differ by 4(1-g)P, so the alternate breaks the cross-check for every
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Optional
+from math import lcm
 
 from .grr import InvalidRank, SplitSupercurve, chi_super, pullback_tangent
 from .superbundle import SuperBundle
@@ -72,7 +79,7 @@ class TargetSpec(Value):
     __slots__ = ("r", "s", "tau", "phi_int", "d")
 
     def __init__(
-        self, r: int, s: int, tau: Fraction, phi_int: Fraction, d: Optional[int] = None
+        self, r: int, s: int, tau: Fraction, phi_int: Fraction, d: int | None = None
     ) -> None:
         r, s = parse_int(r, "r"), parse_int(s, "s")
         if d is not None:
@@ -160,9 +167,9 @@ def chi_gauge(params: ModuliParams) -> SuperScalar:
     chi = (3 - 3g - n_ns - n_rr) - P (2 - 2g - n_ns - n_rr/2).
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
-    body = Fraction(3 - 3 * g - n_ns - n_rr)
-    soul = -(Fraction(2 - 2 * g - n_ns) - Fraction(n_rr, 2))
-    return SuperScalar(body, soul)
+    return SuperScalar(
+        Fraction(3 - 3 * g - n_ns - n_rr), Fraction(n_rr - 2 * (2 - 2 * g - n_ns), 2)
+    )
 
 
 def vdim_closed(
@@ -182,11 +189,14 @@ def vdim_closed(
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     r, s = target.r, target.s
-    integral = target.degree_integral
-    body = (r - 3) * (1 - g) + n_ns + n_rr * (1 + Fraction(s, 2)) + integral
+    tau, phi = target.tau, target.phi_int
+    # I = tau - phi_int = integral / q; every term is then an integer over 2q
+    q = lcm(tau.denominator, phi.denominator)
+    integral = tau.numerator * (q // tau.denominator) - phi.numerator * (q // phi.denominator)
     s_term = s + 2 if alternate_odd_sign else s - 2
-    soul = -((1 - g) * s_term + n_ns + Fraction(n_rr, 2) * (r + 1) + integral)
-    return SuperScalar(body, soul)
+    body = 2 * q * ((r - 3) * (1 - g) + n_ns + n_rr) + q * n_rr * s + 2 * integral
+    soul = 2 * q * ((1 - g) * s_term + n_ns) + q * n_rr * (r + 1) + 2 * integral
+    return SuperScalar(Fraction(body, 2 * q), Fraction(-soul, 2 * q))
 
 
 def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
@@ -216,8 +226,8 @@ def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
         raise ValueError("bosonic dimension is defined for projective-superspace targets")
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     r, s, d = target.r, target.s, target.d
-    spin_dim = Fraction((r - 3) * (1 - g) + n_ns + n_rr + d * (r + 1))
-    return spin_dim + s * (d + Fraction(n_rr, 2))
+    spin_dim = (r - 3) * (1 - g) + n_ns + n_rr + d * (r + 1)
+    return Fraction(2 * spin_dim + s * (2 * d + n_rr), 2)
 
 
 def properness_hint(target: TargetSpec, params: ModuliParams) -> Properness:
@@ -248,8 +258,8 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     params = ModuliParams.from_json(require_key(request, "params", "request"))
     target = TargetSpec.from_json(require_key(request, "target", "request"))
     closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)
-    assembled: Optional[SuperScalar] = None
-    consistent: Optional[bool] = None
+    assembled: SuperScalar | None = None
+    consistent: bool | None = None
     response_warnings: list[str] = []
     if params.n_rr % 2 == 0:
         assembled = vdim_assembled(params, target)

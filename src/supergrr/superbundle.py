@@ -39,10 +39,10 @@ as integer numerators over a common denominator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Sequence
 
 from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator, lowest_terms
 from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field

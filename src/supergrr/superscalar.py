@@ -34,9 +34,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 
 class NotInvertible(ArithmeticError):
@@ -97,23 +94,23 @@ class SuperScalar(Value):
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
+    def __add__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
         other = coerce(other)
         return SuperScalar(self.body + other.body, self.soul + other.soul)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
+    def __sub__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
         other = coerce(other)
         return SuperScalar(self.body - other.body, self.soul - other.soul)
 
-    def __rsub__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
+    def __rsub__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
         return coerce(other) - self
 
     def __neg__(self) -> "SuperScalar":
         return SuperScalar(-self.body, -self.soul)
 
-    def __mul__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
+    def __mul__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
         # (a + P b)(a' + P b') = (aa' + bb') + P (ab' + a'b)
         other = coerce(other)
         a, b = self.body, self.soul
@@ -122,7 +119,7 @@ class SuperScalar(Value):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "SuperScalar | RationalLike") -> "SuperScalar":
+    def __truediv__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
         return self * coerce(other).invert()
 
     def __bool__(self) -> bool:
@@ -215,7 +212,7 @@ def check_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
-def coerce(value: "SuperScalar | RationalLike") -> SuperScalar:
+def coerce(value: "SuperScalar | int | Fraction") -> SuperScalar:
     if isinstance(value, SuperScalar):
         return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):

@@ -150,6 +150,39 @@ def test_vdim_rejects_bad_flags(capsys):
     assert "error" in err
 
 
+INT_FLAGS = [
+    (["vdim"], flag) for flag in ("--r", "--s", "--d", "--g", "--ns", "--rr")
+] + [
+    (["chi", "--bundle", '{"even_degs": [0]}'], "--g"),
+    (["chi", "--bundle", '{"even_degs": [0]}'], "--rr"),
+    (["grr-check"], "--seed"),
+    (["grr-check"], "--cases"),
+    (["identities"], "--seed"),
+    (["identities"], "--cases"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", ["\u0663", "1_0", " 2 "], ids=["arabic-indic", "underscore", "blanks"]
+)
+@pytest.mark.parametrize(
+    "argv,flag", INT_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in INT_FLAGS]
+)
+def test_integer_flags_read_only_ascii_digits(capsys, argv, flag, value):
+    # int() would read these as 3, 10 and 2; every other reader refuses them
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
+def test_integer_flags_keep_signs_and_leading_zeros(capsys):
+    plain = run_cli(capsys, "vdim", "--r", "2", "--s", "1", "--d", "1", "--g", "2", "--json")
+    spelled = run_cli(
+        capsys, "vdim", "--r", "+2", "--s", "01", "--d", "1", "--g", "002", "--json"
+    )
+    assert spelled == plain and plain[0] == 0
+
+
 # -- chi --------------------------------------------------------------------------
 
 
@@ -179,6 +212,20 @@ def test_chi_rejects_invalid_json(capsys):
     code, _, err = run_cli(capsys, "chi", "--g", "0", "--bundle", "{nope")
     assert code == 1
     assert "invalid bundle JSON" in err
+
+
+def test_chi_refuses_deeply_nested_bundle_inline(capsys):
+    code, out, err = run_cli(capsys, "chi", "--g", "0", "--bundle", "[" * 3000)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid bundle JSON: nested too deeply\n"
+
+
+def test_chi_refuses_deeply_nested_bundle_file(capsys, tmp_path):
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "chi", "--g", "0", f"--bundle=@{spec}")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid bundle JSON: nested too deeply\n"
 
 
 def test_chi_names_unknown_bundle_key(capsys):
@@ -276,7 +323,7 @@ def test_grr_check_documented_example(capsys):
 
 
 def test_grr_check_failure_reporting(capsys, monkeypatch):
-    from supergrr import cli as cli_module
+    from supergrr import suites
     from supergrr.suites import SuiteResult
 
     # the shorter text has the larger size: the size decides, not the length
@@ -284,7 +331,7 @@ def test_grr_check_failure_reporting(capsys, monkeypatch):
         "sgrr", 3,
         failures=[(9, "case 1 (size 9): boom"), (4, "case 2 (size 4): long counterexample text")],
     )
-    monkeypatch.setattr(cli_module, "run_sgrr_sweep", lambda seed, cases: fake)
+    monkeypatch.setattr(suites, "run_sgrr_sweep", lambda seed, cases: fake)
     code, out, err = run_cli(capsys, "grr-check", "--seed", "0", "--cases", "3")
     assert code == 2
     assert "passed=1 failed=2" in out
@@ -292,7 +339,7 @@ def test_grr_check_failure_reporting(capsys, monkeypatch):
 
 
 def test_identities_failure_reporting(capsys, monkeypatch):
-    from supergrr import cli as cli_module
+    from supergrr import suites
     from supergrr.suites import SuiteResult
 
     # the first failing suite holds only the larger failure
@@ -304,7 +351,7 @@ def test_identities_failure_reporting(capsys, monkeypatch):
             (3, "case 2 (size 3): sigma_1 is not a star unit over a long description"),
         ]),
     ]
-    monkeypatch.setattr(cli_module, "run_identity_suites", lambda seed, cases: fake)
+    monkeypatch.setattr(suites, "run_identity_suites", lambda seed, cases: fake)
     code, out, err = run_cli(capsys, "identities")
     assert code == 2
     assert "whitney: 1/2 FAIL" in out and "star-ring: 1/3 FAIL" in out

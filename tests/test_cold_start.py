@@ -2,6 +2,9 @@
 
 Together they cost more than a tenth of a `supergrr` call's wall time,
 so they must stay out of the import graph of the package and its CLI.
+Nor does importing the CLI load what only some subcommands use: `csv`
+(table), the suites and `random` (grr-check, identities), or `typing`
+and `pathlib`, which nothing needs.
 """
 
 import os
@@ -13,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SLOW_IMPORTS = ("dataclasses", "inspect")
+UNUSED_AT_IMPORT = ("typing", "pathlib", "csv", "random", "supergrr.suites")
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -29,6 +33,16 @@ def test_importing_the_cli_loads_no_slow_module():
     loaded = set(proc.stdout.split())
     assert "supergrr.cli" in loaded
     assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+
+
+def test_importing_the_cli_without_site_loads_no_subcommand_module():
+    # -S keeps site packages from preloading any of them
+    probe = "import sys, supergrr.cli; print(' '.join(sorted(sys.modules)))"
+    proc = _run_fresh("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "supergrr.cli" in loaded
+    assert loaded.isdisjoint(UNUSED_AT_IMPORT), sorted(loaded & set(UNUSED_AT_IMPORT))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergrr import (
     InvalidRank,
@@ -25,6 +27,73 @@ SWEEP = list(
         range(4), range(5), (0, 2, 4, 6), range(1, 5), range(4), range(4)
     )
 )
+
+
+# -- the Fraction oracle --------------------------------------------------------
+#
+# The three closed forms as they read before they moved to integers over one
+# denominator: every term a Fraction, summed term by term.
+
+
+def ref_chi_gauge(g, n_ns, n_rr):
+    body = Fraction(3 - 3 * g - n_ns - n_rr)
+    soul = -(Fraction(2 - 2 * g - n_ns) - Fraction(n_rr, 2))
+    return SuperScalar(body, soul)
+
+
+def ref_vdim_closed(g, n_ns, n_rr, r, s, tau, phi_int, alternate_odd_sign):
+    integral = tau - phi_int
+    body = (r - 3) * (1 - g) + n_ns + n_rr * (1 + Fraction(s, 2)) + integral
+    s_term = s + 2 if alternate_odd_sign else s - 2
+    soul = -((1 - g) * s_term + n_ns + Fraction(n_rr, 2) * (r + 1) + integral)
+    return SuperScalar(body, soul)
+
+
+def ref_bosonic_dimension(g, n_ns, n_rr, r, s, d):
+    spin_dim = Fraction((r - 3) * (1 - g) + n_ns + n_rr + d * (r + 1))
+    return spin_dim + s * (d + Fraction(n_rr, 2))
+
+
+def _small(top):
+    return st.integers(min_value=0, max_value=top)
+
+
+rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**7), max_value=10**7),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+def _same(value, expected):
+    """Equal, and equal in every rendering: str, JSON and repr."""
+    assert value == expected
+    assert type(value) is type(expected)
+    assert str(value) == str(expected)
+    assert repr(value) == repr(expected)
+    if isinstance(value, SuperScalar):
+        assert value.to_json() == expected.to_json()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _small(6), _small(6), _small(7), _small(6), _small(6), _small(6), rationals, rationals,
+    st.booleans(),
+)
+def test_closed_forms_match_fraction_oracle(g, n_ns, n_rr, r, s, d, tau, phi_int, alternate):
+    params = ModuliParams(g, n_ns, n_rr)
+    _same(chi_gauge(params), ref_chi_gauge(g, n_ns, n_rr))
+    custom = TargetSpec.custom(r, s, tau, phi_int)
+    _same(
+        vdim_closed(params, custom, alternate_odd_sign=alternate),
+        ref_vdim_closed(g, n_ns, n_rr, r, s, tau, phi_int, alternate),
+    )
+    psuper = TargetSpec.psuper(r + 1, s, d)
+    _same(
+        vdim_closed(params, psuper, alternate_odd_sign=alternate),
+        ref_vdim_closed(g, n_ns, n_rr, r + 1, s, psuper.tau, psuper.phi_int, alternate),
+    )
+    _same(bosonic_dimension(params, psuper), ref_bosonic_dimension(g, n_ns, n_rr, r + 1, s, d))
 
 
 # -- gauge sheaf Euler data ---------------------------------------------------
