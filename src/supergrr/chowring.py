@@ -20,8 +20,9 @@ is a zero divisor of Q[P] exactly when one of its two values vanishes.
 
 That integer form has one home, shared with superbundle and grr:
 common_denominator puts Fractions over their least common denominator,
-and lowest_terms divides two integer vectors and their denominator by
-their common gcd.
+lowest_terms divides two integer vectors and their denominator by
+their common gcd, check_model refuses operands over different models,
+and align brings two operands to the lcm of their denominators.
 
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs
@@ -150,8 +151,8 @@ class GradedElement(Value):
     The degree-k coefficient is plus[k] / denominator at P = +1 and
     minus[k] / denominator at P = -1, with integer numerators, one per
     degree 0..top, and denominator > 0 sharing no factor with all of
-    them.  Build elements with from_coeffs, from_split or the named
-    constructors, which reduce to that canonical form.
+    them.  Build elements with from_coeffs or the named constructors,
+    which reduce to that canonical form.
     """
 
     __slots__ = ("model", "plus", "minus", "denominator")
@@ -167,22 +168,6 @@ class GradedElement(Value):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_split(
-        cls,
-        model: ChowModel,
-        plus: Sequence[int],
-        minus: Sequence[int],
-        denominator: int = 1,
-    ) -> "GradedElement":
-        """The element with integer numerators plus and minus over denominator, reduced."""
-        width = model.top_degree + 1
-        if len(plus) != width or len(minus) != width:
-            raise ValueError(f"{model} needs {width} numerators per component")
-        if denominator < 1:
-            raise ValueError(f"denominator must be positive, got {denominator}")
-        return cls(model, *lowest_terms(plus, minus, denominator))
-
-    @classmethod
     def from_coeffs(
         cls, model: ChowModel, coeffs: Iterable[SuperScalar | int | Fraction]
     ) -> "GradedElement":
@@ -192,7 +177,7 @@ class GradedElement(Value):
         if len(values) > width:
             raise ValueError(f"{len(values)} coefficients exceed top degree {width - 1}")
         values += [ZERO] * (width - len(values))
-        return cls.from_split(model, *_split(values))
+        return cls(model, *lowest_terms(*_split(values)))
 
     @classmethod
     def zero(cls, model: ChowModel) -> "GradedElement":
@@ -240,47 +225,49 @@ class GradedElement(Value):
 
     # -- ring structure ---------------------------------------------------
 
-    def _check_model(self, other: "GradedElement") -> None:
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatch(f"{self.model} vs {other.model}")
-
     def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check_model(other)
-        denominator = lcm(self.denominator, other.denominator)
-        a = denominator // self.denominator
-        b = denominator // other.denominator
-        return GradedElement.from_split(
+        denominator, a, b = align(self, other)
+        return GradedElement(
             self.model,
-            [a * x + b * y for x, y in zip(self.plus, other.plus)],
-            [a * x + b * y for x, y in zip(self.minus, other.minus)],
-            denominator,
+            *lowest_terms(
+                [a * x + b * y for x, y in zip(self.plus, other.plus)],
+                [a * x + b * y for x, y in zip(self.minus, other.minus)],
+                denominator,
+            ),
         )
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + -other
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement.from_split(
-            self.model, [-x for x in self.plus], [-x for x in self.minus], self.denominator
+        return GradedElement(
+            self.model,
+            tuple([-x for x in self.plus]),
+            tuple([-x for x in self.minus]),
+            self.denominator,
         )
 
     def ring_mul(self, other: "GradedElement") -> "GradedElement":
         """Product in the truncated ring: one convolution per component."""
-        self._check_model(other)
-        return GradedElement.from_split(
+        check_model(self, other)
+        return GradedElement(
             self.model,
-            _convolve(self.plus, other.plus),
-            _convolve(self.minus, other.minus),
-            self.denominator * other.denominator,
+            *lowest_terms(
+                _convolve(self.plus, other.plus),
+                _convolve(self.minus, other.minus),
+                self.denominator * other.denominator,
+            ),
         )
 
     def scale(self, value: SuperScalar | int | Fraction) -> "GradedElement":
         (p,), (m,), denominator = _split([coerce(value)])
-        return GradedElement.from_split(
+        return GradedElement(
             self.model,
-            [p * x for x in self.plus],
-            [m * x for x in self.minus],
-            self.denominator * denominator,
+            *lowest_terms(
+                [p * x for x in self.plus],
+                [m * x for x in self.minus],
+                self.denominator * denominator,
+            ),
         )
 
     def __mul__(self, other: "GradedElement | SuperScalar | int | Fraction") -> "GradedElement":
@@ -389,6 +376,22 @@ def lowest_terms(
         b = [x // common for x in b]
         denominator //= common
     return tuple(a), tuple(b), denominator
+
+
+def check_model(a, b) -> None:
+    """ModelMismatch unless a and b (elements, bundles, a supercurve) share a model.
+
+    Identity is tried first: the named model constructors share instances.
+    """
+    if a.model is not b.model and a.model != b.model:
+        raise ModelMismatch(f"{a.model} vs {b.model}")
+
+
+def align(a, b) -> tuple[int, int, int]:
+    """check_model, then the lcm of both denominators and the factors that bring a and b to it."""
+    check_model(a, b)
+    denominator = lcm(a.denominator, b.denominator)
+    return denominator, denominator // a.denominator, denominator // b.denominator
 
 
 def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:

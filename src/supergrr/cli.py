@@ -23,7 +23,7 @@ from .modulidim import (
     vdim_closed,
 )
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, parse_rational
+from .superscalar import INT_TEXT, SuperScalar, parse_rational
 
 CSV_COLUMNS = [
     "g",
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+_INT_TEXT = re.compile(INT_TEXT)
 
 
 def _int(text: str) -> int:
@@ -135,7 +135,7 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_RANGE_CHUNK = re.compile(r"([+-]?[0-9]+)(?:\.\.([+-]?[0-9]+))?")
+_RANGE_CHUNK = re.compile(rf"({INT_TEXT})(?:\.\.({INT_TEXT}))?")
 
 
 def _parse_range(flag: str, text: str) -> tuple[range, ...]:
@@ -357,6 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            # argparse drops the "--" of --flag=-- and stores an empty list, unchecked
+            if isinstance(value, list):
+                raise CliError(f"argument --{name.replace('_', '-')}: expected one argument")
         return _COMMANDS[args.subcommand](args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,12 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator
+from .chowring import ChowModel, GradedElement, check_model, common_denominator
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, Value, parse_int, parse_rational, set_field
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _curve_todd(genus: int) -> GradedElement:
     """Todd class of the genus-g tangent bundle (immutable, shared)."""
     return SuperBundle(ChowModel.curve(genus), (2 - 2 * genus,), (), 1).todd()
@@ -71,12 +71,6 @@ class SplitSupercurve(Value):
         return _curve_todd(self.genus)
 
 
-def _check_curve_bundle(curve: SplitSupercurve, bundle: SuperBundle) -> None:
-    model = curve.model
-    if bundle.model is not model and bundle.model != model:
-        raise ModelMismatch(f"bundle on {bundle.model}, supercurve on {model}")
-
-
 def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     """Associated graded of a sheaf restricted along the odd filtration.
 
@@ -85,7 +79,7 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     deg L times the denominator; the result keeps the bundle's
     denominator and stays reduced, since it keeps every numerator.
     """
-    _check_curve_bundle(curve, bundle)
+    check_model(bundle, curve)
     if curve.deg_l.denominator != 1:
         raise NonIntegralTwist(f"twist degree {curve.deg_l} is not an integer")
     den = bundle.denominator

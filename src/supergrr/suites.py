@@ -59,14 +59,9 @@ def random_model(rng: random.Random) -> ChowModel:
     return ChowModel.proj_space(rng.randint(1, 3))
 
 
-def random_bundle(
-    rng: random.Random,
-    model: ChowModel,
-    max_rank: int = 3,
-    degree_bound: int = 5,
-) -> SuperBundle:
+def random_bundle(rng: random.Random, model: ChowModel, max_rank: int = 3) -> SuperBundle:
     def degs(n: int):
-        return [rng.randint(-degree_bound, degree_bound) for _ in range(n)]
+        return [rng.randint(-5, 5) for _ in range(n)]
 
     return SuperBundle.from_degrees(
         model, degs(rng.randint(0, max_rank)), degs(rng.randint(0, max_rank))

@@ -14,7 +14,7 @@ by field.  The raw constructor neither parses nor reduces: from_degrees
 is the one reader of degrees, and even_degs / odd_degs rebuild the
 Fractions at the boundary (str, JSON).  dual and pi_shift keep D;
 direct_sum and tensor bring both operands to the lcm of their
-denominators and reduce.  A purely odd bundle (rank 0|s) is also the
+denominators (chowring's align) and reduce.  A purely odd bundle (rank 0|s) is also the
 conormal data of ktheory.
 
 Every class below is a function of the power sums p_k(a) = sum_i a_i**k
@@ -42,9 +42,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .chowring import ChowModel, GradedElement, ModelMismatch, common_denominator, lowest_terms
+from .chowring import ChowModel, GradedElement, align, common_denominator, lowest_terms
 from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field
 
 Numerators = tuple[int, ...]
@@ -180,7 +180,7 @@ class SuperBundle(Value):
         return SuperBundle(self.model, self.odd, self.even, self.denominator)
 
     def direct_sum(self, other: "SuperBundle") -> "SuperBundle":
-        den, a, b = self._common_denominator(other)
+        den, a, b = align(self, other)
         return SuperBundle(
             self.model,
             *lowest_terms(
@@ -194,19 +194,12 @@ class SuperBundle(Value):
 
     def tensor(self, other: "SuperBundle") -> "SuperBundle":
         """Pairwise root sums; matching parities are even, mixed are odd."""
-        den, a, b = self._common_denominator(other)
+        den, a, b = align(self, other)
         even = [a * x + b * y for x in self.even for y in other.even]
         even += [a * x + b * y for x in self.odd for y in other.odd]
         odd = [a * x + b * y for x in self.even for y in other.odd]
         odd += [a * x + b * y for x in self.odd for y in other.even]
         return SuperBundle(self.model, *lowest_terms(even, odd, den))
-
-    def _common_denominator(self, other: "SuperBundle") -> tuple[int, int, int]:
-        """The lcm of both denominators and the factors that bring each operand to it."""
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatch(f"{self.model} vs {other.model}")
-        den = lcm(self.denominator, other.denominator)
-        return den, den // self.denominator, den // other.denominator
 
     # -- serialization ------------------------------------------------------
 
@@ -286,11 +279,13 @@ def _over_factorials(
     for k in range(model.top_degree, 0, -1):
         weights.append(weights[-1] * k * den)
     weights.reverse()
-    return GradedElement.from_split(
+    return GradedElement(
         model,
-        [w * x for w, x in zip(weights, plus)],
-        [w * x for w, x in zip(weights, minus)],
-        weights[0] * divisor,
+        *lowest_terms(
+            [w * x for w, x in zip(weights, plus)],
+            [w * x for w, x in zip(weights, minus)],
+            weights[0] * divisor,
+        ),
     )
 
 

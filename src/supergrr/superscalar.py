@@ -163,13 +163,12 @@ class SuperScalar(Value):
     @classmethod
     def from_json(cls, obj: dict) -> "SuperScalar":
         check_keys(obj, ("body", "soul"), "scalar")
-        return cls(
-            parse_rational(obj.get("body", 0), "body"),
-            parse_rational(obj.get("soul", 0), "soul"),
-        )
+        return cls(obj.get("body", 0), obj.get("soul", 0))
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# the integer grammar of every number reader here: ASCII digits, an optional sign
+INT_TEXT = r"[+-]?[0-9]+"
+_RATIONAL_TEXT = re.compile(rf"{INT_TEXT}(?:/[0-9]+)?")
 
 
 def parse_rational(value, what: str = "value") -> Fraction:

@@ -183,6 +183,28 @@ def test_integer_flags_keep_signs_and_leading_zeros(capsys):
     assert spelled == plain and plain[0] == 0
 
 
+DASH_DASH_VALUES = [
+    (["chi"], "--bundle"),
+    (["vdim"], "--target"),
+    (["vdim"], "--phi-int"),
+    (["table"], "--g"),
+    (["table"], "--csv"),
+    (["grr-check", "--cases", "1"], "--seed"),
+    (["identities"], "--cases"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", DASH_DASH_VALUES, ids=[f"{argv[0]}{flag}" for argv, flag in DASH_DASH_VALUES]
+)
+def test_flag_given_dash_dash_as_its_value_is_refused(capsys, argv, flag):
+    # argparse stores --flag=-- as an empty list, which used to escape as a
+    # traceback or, for --target, to run the custom target
+    code, out, err = run_cli(capsys, *argv, f"{flag}=--")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: expected one argument\n"
+
+
 # -- chi --------------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from supergrr import (
     pullback_tangent,
     rr_oracle,
 )
+from supergrr.grr import _curve_todd
 from supergrr.suites import random_supercurve_instance
 
 
@@ -88,6 +89,15 @@ def test_gr_model_mismatch():
     other = SuperBundle.from_degrees(ChowModel.curve(1), (0,), ())
     with pytest.raises(ModelMismatch):
         gr_module(curve, other)
+
+
+def test_curve_todd_cache_is_bounded():
+    # the genus comes from outside the program, so its cache must not grow with it
+    for genus in range(100):
+        curve = SplitSupercurve.susy(genus)
+        bundle = bundle_on(curve, even=(1,))
+        assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
+    assert _curve_todd.cache_info().currsize <= 64
 
 
 # -- Euler characteristics ---------------------------------------------------------
