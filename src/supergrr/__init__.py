@@ -21,16 +21,15 @@ from .ktheory import (
     star_product,
 )
 from .grr import (
-    InvalidRank,
     NonIntegralTwist,
     SplitSupercurve,
     chi_character_form,
     chi_super,
     gr_module,
-    pullback_tangent,
     rr_oracle,
 )
 from .modulidim import (
+    InvalidRank,
     ModuliParams,
     Properness,
     TargetSpec,
@@ -38,6 +37,7 @@ from .modulidim import (
     chi_gauge,
     evaluate_request,
     properness_hint,
+    pullback_tangent,
     vdim_assembled,
     vdim_closed,
 )
@@ -66,14 +66,14 @@ __all__ = [
     "ch_twisted",
     "SplitSupercurve",
     "NonIntegralTwist",
-    "InvalidRank",
     "gr_module",
     "chi_super",
     "chi_character_form",
     "rr_oracle",
-    "pullback_tangent",
     "ModuliParams",
     "TargetSpec",
+    "InvalidRank",
+    "pullback_tangent",
     "Properness",
     "chi_gauge",
     "vdim_closed",

@@ -188,10 +188,6 @@ class GradedElement(Value):
         return cls.from_coeffs(model, (1,))
 
     @classmethod
-    def scalar(cls, model: ChowModel, value: SuperScalar | int | Fraction) -> "GradedElement":
-        return cls.from_coeffs(model, (value,))
-
-    @classmethod
     def monomial(
         cls, model: ChowModel, degree: int, value: SuperScalar | int | Fraction = 1
     ) -> "GradedElement":

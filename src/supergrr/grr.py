@@ -13,6 +13,10 @@ componentwise classical Riemann-Roch (chi = deg + rank.(1-g)) on the
 even and odd parts of gr U.  Both are exact and must agree, and both
 return the super Euler characteristic chi_S(U) = chi(even part) -
 P chi(odd part) as a SuperScalar.
+
+The twist deg L is an integer from construction, so gr needs no check
+of it.  Which bundle a moduli target restricts to is not decided here:
+modulidim builds that bundle beside its target type.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chowring import ChowModel, GradedElement, check_model, common_denominator
+from .chowring import ChowModel, GradedElement, check_model
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, Value, parse_int, parse_rational, set_field
+from .superscalar import SuperScalar, Value, parse_int, set_field
 
 
 @lru_cache(maxsize=64)
@@ -32,24 +36,20 @@ def _curve_todd(genus: int) -> GradedElement:
 
 
 class NonIntegralTwist(ValueError):
-    """The twisting degree deg L must be an integer on the sheaf path."""
-
-
-class InvalidRank(ValueError):
-    """Target rank data that cannot be realized as a root bundle."""
+    """An odd Ramond count makes the spin twist g - 1 + n_rr/2 non-integral."""
 
 
 class SplitSupercurve(Value):
-    """Genus-g curve with odd direction twisted by a degree deg_l line bundle."""
+    """Genus-g curve with odd direction twisted by a line bundle of integer degree deg_l."""
 
     __slots__ = ("genus", "deg_l")
 
-    def __init__(self, genus: int, deg_l: Fraction) -> None:
+    def __init__(self, genus: int, deg_l: int) -> None:
         genus = parse_int(genus, "genus")
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         set_field(self, "genus", genus)
-        set_field(self, "deg_l", parse_rational(deg_l, "deg_l"))
+        set_field(self, "deg_l", parse_int(deg_l, "deg_l"))
 
     @classmethod
     def susy(cls, genus: int, n_rr: int = 0) -> "SplitSupercurve":
@@ -60,15 +60,12 @@ class SplitSupercurve(Value):
                 f"g={genus}, n_rr={n_rr} gives non-integral twist degree "
                 f"{Fraction(2 * genus - 2 + n_rr, 2)}"
             )
-        return cls(genus, Fraction(genus - 1 + n_rr // 2))
+        return cls(genus, genus - 1 + n_rr // 2)
 
     @property
     def model(self) -> ChowModel:
         """The genus-g curve model, shared rather than rebuilt on each access."""
         return ChowModel.curve(self.genus)
-
-    def todd_class(self) -> GradedElement:
-        return _curve_todd(self.genus)
 
 
 def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
@@ -80,10 +77,8 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     denominator and stays reduced, since it keeps every numerator.
     """
     check_model(bundle, curve)
-    if curve.deg_l.denominator != 1:
-        raise NonIntegralTwist(f"twist degree {curve.deg_l} is not an integer")
     den = bundle.denominator
-    shift = curve.deg_l.numerator * den
+    shift = curve.deg_l * den
     even = bundle.even + tuple([m + shift for m in bundle.odd])
     odd = bundle.odd + tuple([a + shift for a in bundle.even])
     return SuperBundle(bundle.model, even, odd, den)
@@ -92,7 +87,7 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Euler characteristic by integration: integral of ch(gr U) . td(T_X)."""
     graded = gr_module(curve, bundle)
-    integrand = graded.chern_character().ring_mul(curve.todd_class())
+    integrand = graded.chern_character().ring_mul(_curve_todd(curve.genus))
     return integrand.integrate()
 
 
@@ -118,22 +113,3 @@ def rr_oracle(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     chi_odd = sum(graded.odd) + len(graded.odd) * rank_term
     return SuperScalar(Fraction(chi_even, den), Fraction(-chi_odd, den))
 
-
-def pullback_tangent(curve: SplitSupercurve, target) -> SuperBundle:
-    """Restricted tangent sheaf of a rank r|s target along a degree-beta map.
-
-    The target supplies r, s, tau (total even tangent degree over the
-    image cycle) and phi_int (integral of the odd conormal data, so the
-    odd part has total degree mu = -phi_int).  Characteristic classes on
-    a curve see only rank and total degree, so the canonical form puts
-    the whole degree on one root per parity and zeros elsewhere.
-    """
-    r, s, tau, phi = target.r, target.s, target.tau, target.phi_int
-    if r < 1 or s < 0:
-        raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
-    if s == 0 and phi:
-        raise InvalidRank("odd degree data on a target with no odd directions")
-    den, (tau_n, phi_n) = common_denominator((tau, phi))
-    even = (tau_n,) + (0,) * (r - 1)
-    odd = (-phi_n,) + (0,) * (s - 1) if s else ()
-    return SuperBundle(curve.model, even, odd, den)

@@ -32,19 +32,16 @@ from .superscalar import Value, set_field
 class NormalData(Value):
     """The conormal sheaf N* of X in the ambient superscheme, as a rank 0|s bundle.
 
-    Build normal data with from_degrees or bosonic; the raw constructor
-    NormalData(conormal) takes the SuperBundle as it is.
+    Build normal data with from_degrees; the raw constructor
+    NormalData(conormal) takes the SuperBundle as it is, so
+    NormalData(SuperBundle.zero(model)) is an ambient space with no odd
+    directions.
     """
 
     __slots__ = ("conormal",)
 
     def __init__(self, conormal: SuperBundle) -> None:
         set_field(self, "conormal", conormal)
-
-    @classmethod
-    def bosonic(cls, model: ChowModel) -> "NormalData":
-        """Ambient space equal to its bosonic reduction: no odd directions."""
-        return cls(SuperBundle.zero(model))
 
     @classmethod
     def from_degrees(cls, model: ChowModel, degrees) -> "NormalData":

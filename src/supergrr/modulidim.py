@@ -8,6 +8,10 @@ Two independent routes are implemented and cross-checked:
   computed through the Riemann-Roch engine on a split supercurve with
   spin twist deg L = g - 1 + n_rr/2.
 
+A target's rank and degree data become the restricted tangent bundle in
+pullback_tangent, beside TargetSpec, and only there: it decides which
+data a bundle can realize and raises InvalidRank for the rest.
+
 The closed route computes in integers over one denominator 2q, with q
 the common denominator of the target's degree data, and builds a
 Fraction only for each part of its result; chi_gauge and
@@ -33,7 +37,8 @@ import enum
 from fractions import Fraction
 from math import lcm
 
-from .grr import InvalidRank, SplitSupercurve, chi_super, pullback_tangent
+from .chowring import common_denominator
+from .grr import SplitSupercurve, chi_super
 from .superbundle import SuperBundle
 from .superscalar import (
     SuperScalar,
@@ -119,11 +124,6 @@ class TargetSpec(Value):
             return "point"
         return "custom"
 
-    @property
-    def degree_integral(self) -> Fraction:
-        """integral over the image cycle of ch_1(tangent) - ch_1(odd conormal)."""
-        return self.tau - self.phi_int
-
     def to_json(self) -> dict:
         if self.kind == "psuper":
             return {"kind": "psuper", "r": self.r, "s": self.s, "d": self.d}
@@ -153,6 +153,35 @@ class TargetSpec(Value):
         if kind == "psuper":
             return cls.psuper(r, s, require_key(obj, "d", "target"))
         return cls.custom(r, s, obj.get("tau", 0), obj.get("phi_int", 0))
+
+
+class InvalidRank(ValueError):
+    """Target rank data that cannot be realized as a root bundle."""
+
+
+def pullback_tangent(curve: SplitSupercurve, target: TargetSpec) -> SuperBundle:
+    """Restricted tangent sheaf of a rank r|s target along a degree-beta map.
+
+    The target supplies r, s, tau (total even tangent degree over the
+    image cycle) and phi_int (integral of the odd conormal data, so the
+    odd part has total degree mu = -phi_int).  Characteristic classes on
+    a curve see only rank and total degree, so the canonical form puts
+    the whole degree on one root per parity and zeros elsewhere.  A
+    rank 0|0 target restricts to the zero bundle.
+    """
+    r, s, tau, phi = target.r, target.s, target.tau, target.phi_int
+    if r == 0 and s == 0:
+        if tau or phi:
+            raise InvalidRank("rank 0|0 target cannot carry nonzero degree data")
+        return SuperBundle(curve.model, (), (), 1)
+    if r < 1 or s < 0:
+        raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
+    if s == 0 and phi:
+        raise InvalidRank("odd degree data on a target with no odd directions")
+    den, (tau_n, phi_n) = common_denominator((tau, phi))
+    even = (tau_n,) + (0,) * (r - 1)
+    odd = (-phi_n,) + (0,) * (s - 1) if s else ()
+    return SuperBundle(curve.model, even, odd, den)
 
 
 class Properness(enum.Enum):
@@ -203,17 +232,11 @@ def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge).
 
     An odd n_rr raises NonIntegralTwist: the spin twist g - 1 + n_rr/2 of
-    the supercurve is not an integer.
+    the supercurve is not an integer.  Target data that no bundle
+    realizes raises InvalidRank in pullback_tangent.
     """
     curve = SplitSupercurve.susy(params.g, params.n_rr)
-    if target.r == 0 and target.s == 0:
-        if target.tau or target.phi_int:
-            raise InvalidRank("rank 0|0 target cannot carry nonzero degree data")
-        tangent = SuperBundle.zero(curve.model)
-    else:
-        tangent = pullback_tangent(curve, target)
-    chi_tangent = chi_super(curve, tangent)
-    return chi_tangent - chi_gauge(params)
+    return chi_super(curve, pullback_tangent(curve, target)) - chi_gauge(params)
 
 
 def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:

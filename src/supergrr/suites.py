@@ -19,23 +19,18 @@ from .chowring import ChowModel, GradedElement
 from .grr import SplitSupercurve, chi_character_form, chi_super, rr_oracle
 from .ktheory import KClass, NormalData
 from .superbundle import SuperBundle
-from .superscalar import PI, SuperScalar, Value, pi_power
+from .superscalar import PI, SuperScalar, Value, pi_power, set_field
 
 
 class SuiteResult(Value):
-    """A suite's name, case count and failures; a mutable record, hence unhashable."""
+    """A suite's name, case count and failures, each failure a (size, text) pair."""
 
     __slots__ = ("name", "cases", "failures")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(
-        self, name: str, cases: int, failures: list[tuple[Fraction, str]] | None = None
-    ) -> None:
-        self.name = name
-        self.cases = cases
-        self.failures = [] if failures is None else failures
+    def __init__(self, name: str, cases: int, failures=()) -> None:
+        set_field(self, "name", name)
+        set_field(self, "cases", cases)
+        set_field(self, "failures", tuple(failures))
 
     @property
     def passed(self) -> int:
@@ -86,7 +81,7 @@ def random_normal_data(rng: random.Random, model: ChowModel) -> NormalData:
 
 
 def random_supercurve_instance(rng: random.Random) -> tuple[SplitSupercurve, SuperBundle]:
-    curve = SplitSupercurve(rng.randint(0, 3), Fraction(rng.randint(-5, 5)))
+    curve = SplitSupercurve(rng.randint(0, 3), rng.randint(-5, 5))
     return curve, random_bundle(rng, curve.model)
 
 
@@ -103,13 +98,13 @@ def _size(model: ChowModel, *bundles: SuperBundle) -> Fraction:
 def _run(name: str, seed: int, cases: int, one_case) -> SuiteResult:
     """The one case loop: one_case(rng) returns None or (size, text)."""
     rng = random.Random(seed)
-    result = SuiteResult(name, cases)
+    failures = []
     for index in range(cases):
         failure = one_case(rng)
         if failure is not None:
             size, text = failure
-            result.failures.append((size, f"case {index} (size {size}): {text}"))
-    return result
+            failures.append((size, f"case {index} (size {size}): {text}"))
+    return SuiteResult(name, cases, failures)
 
 
 def minimal_failure(results: list[SuiteResult]) -> str | None:

@@ -125,10 +125,6 @@ class SuperScalar(Value):
     def __bool__(self) -> bool:
         return bool(self.body) or bool(self.soul)
 
-    @property
-    def is_invertible(self) -> bool:
-        return self.body * self.body != self.soul * self.soul
-
     def invert(self) -> "SuperScalar":
         """Multiplicative inverse (a - P b) / (a**2 - b**2).
 

@@ -169,7 +169,8 @@ def test_series_invert_round_trip():
     while checked < 200:
         model = rng.choice([ChowModel.curve(0), CURVE2, P2, P3])
         x = _random_element(rng, model)
-        if not x.coeffs[0].is_invertible:
+        lead = x.coeffs[0]
+        if lead.body**2 == lead.soul**2:
             continue
         inv = x.series_invert()
         assert x.ring_mul(inv) == GradedElement.one(model)
@@ -212,8 +213,8 @@ def test_exp_additivity():
         model = rng.choice([CURVE2, P2, P3])
         x = _random_element(rng, model)
         y = _random_element(rng, model)
-        x = x - GradedElement.scalar(model, x.coeffs[0])
-        y = y - GradedElement.scalar(model, y.coeffs[0])
+        x = x - GradedElement.from_coeffs(model, x.coeffs[:1])
+        y = y - GradedElement.from_coeffs(model, y.coeffs[:1])
         lhs = (x + y).exp_nilpotent()
         rhs = x.exp_nilpotent().ring_mul(y.exp_nilpotent())
         assert lhs == rhs
@@ -228,7 +229,7 @@ def test_integrate_curve():
 
 def test_integrate_point():
     s = SuperScalar(Fraction(7, 2), -1)
-    assert GradedElement.scalar(POINT, s).integrate() == s
+    assert GradedElement.from_coeffs(POINT, [s]).integrate() == s
 
 
 def binomial(k, r):

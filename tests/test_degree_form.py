@@ -135,7 +135,7 @@ def cases(draw):
     def degrees():
         return draw(st.lists(degree_input(model), max_size=4))
 
-    deg_l = Fraction(draw(st.integers(-5, 5)))
+    deg_l = draw(st.integers(-5, 5))
     return model, (degrees(), degrees()), (degrees(), degrees()), deg_l
 
 
@@ -166,7 +166,7 @@ def test_degree_form_matches_reference_on_every_model(model):
             return [_random_degree(rng, model, fractional) for _ in range(rng.randint(0, 4))]
 
         e_in, f_in = (degrees(), degrees()), (degrees(), degrees())
-        check_against_reference(model, e_in, f_in, Fraction(rng.randint(-5, 5)))
+        check_against_reference(model, e_in, f_in, rng.randint(-5, 5))
 
 
 def test_canonical_form():

@@ -12,12 +12,15 @@ from supergrr import (
     ModuliParams,
     NonIntegralTwist,
     Properness,
+    SplitSupercurve,
+    SuperBundle,
     SuperScalar,
     TargetSpec,
     bosonic_dimension,
     chi_gauge,
     evaluate_request,
     properness_hint,
+    pullback_tangent,
     vdim_assembled,
     vdim_closed,
 )
@@ -27,6 +30,8 @@ SWEEP = list(
         range(4), range(5), (0, 2, 4, 6), range(1, 5), range(4), range(4)
     )
 )
+# the (g, n_ns, n_rr) part of the sweep
+SOURCES = sorted({point[:3] for point in SWEEP})
 
 
 # -- the Fraction oracle --------------------------------------------------------
@@ -125,7 +130,7 @@ def test_psuper_expansion():
     t = TargetSpec.psuper(3, 2, 4)
     assert t.tau == 16
     assert t.phi_int == -8
-    assert t.degree_integral == 24
+    assert t.tau - t.phi_int == 24
     assert t.kind == "psuper"
 
 
@@ -227,6 +232,38 @@ def test_assembled_rejects_odd_rr():
 def test_assembled_rejects_degree_on_rank_zero_target():
     with pytest.raises(InvalidRank):
         vdim_assembled(ModuliParams(0), TargetSpec.custom(0, 0, 1, 0))
+
+
+def test_point_target_restricts_to_the_zero_bundle():
+    # no tangent directions: the assembled route is minus the gauge term alone
+    point = TargetSpec.point()
+    for g, n_ns, n_rr in SOURCES:
+        params, curve = ModuliParams(g, n_ns, n_rr), SplitSupercurve.susy(g, n_rr)
+        assert pullback_tangent(curve, point) == SuperBundle.zero(curve.model)
+        assert vdim_assembled(params, point) == -chi_gauge(params)
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        (
+            {"kind": "custom", "r": 0, "s": 0, "tau": 1},
+            "rank 0|0 target cannot carry nonzero degree data",
+        ),
+        ({"kind": "custom", "r": 0, "s": 1}, "cannot realize tangent data of rank 0|1"),
+        (
+            {"kind": "custom", "r": 2, "s": 0, "phi_int": "3/2"},
+            "odd degree data on a target with no odd directions",
+        ),
+    ],
+    ids=["degree-on-rank-0|0", "rank-0|1", "odd-degree-on-s=0"],
+)
+def test_evaluate_request_invalid_rank_messages(target, message):
+    for g, n_ns, n_rr in SOURCES:
+        request = {"params": {"g": g, "n_ns": n_ns, "n_rr": n_rr}, "target": target}
+        with pytest.raises(InvalidRank) as refusal:
+            evaluate_request(request)
+        assert str(refusal.value) == message
 
 
 def test_closed_equals_assembled_full_sweep():

@@ -126,7 +126,7 @@ def check_against_reference(model, x, y, value):
     assert rebuilt == product
     assert hash(rebuilt) == hash(product)
 
-    if x[0].is_invertible:
+    if x[0].body**2 != x[0].soul**2:
         assert ex.series_invert().coeffs == ref_invert(model, x)
     else:
         with pytest.raises(NotInvertible):
@@ -215,5 +215,5 @@ def test_canonical_form():
     assert zero == GradedElement.zero(model)
     assert (zero.plus, zero.minus, zero.denominator) == ((0,) * 4, (0,) * 4, 1)
     assert not zero
-    two = GradedElement.scalar(model, 2)
+    two = GradedElement.from_coeffs(model, [2])
     assert len({half.ring_mul(two), half.scale(2), half + half}) == 1

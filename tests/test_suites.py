@@ -26,7 +26,7 @@ def test_run_numbers_cases_and_records_sizes():
         value = rng.randint(0, 9)
         if value % 2:
             expected.append((value, f"case {index} (size {value}): drew {value}"))
-    assert expected and result.failures == expected
+    assert expected and result.failures == tuple(expected)
     assert (result.name, result.cases, result.passed) == ("draws", 20, 20 - len(expected))
 
 

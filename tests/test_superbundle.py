@@ -58,7 +58,7 @@ def test_ch_structure_sheaf():
 
 
 def test_ch_odd_structure_sheaf():
-    expected = GradedElement.scalar(C0, -PI)
+    expected = GradedElement.from_coeffs(C0, [-PI])
     assert SuperBundle.from_degrees(C0, (), (0,)).chern_character() == expected
 
 
@@ -109,7 +109,7 @@ def test_todd_of_curve_tangent(g):
 
 
 def test_todd_odd_line_with_zero_root_is_two():
-    assert SuperBundle.from_degrees(C2, (), (0,)).todd() == GradedElement.scalar(C2, 2)
+    assert SuperBundle.from_degrees(C2, (), (0,)).todd() == GradedElement.from_coeffs(C2, [2])
 
 
 def test_todd_empty_is_one():
@@ -133,7 +133,7 @@ def test_todd_odd_line_general_root():
 
 
 def test_sigma1_zero_root():
-    assert SuperBundle.from_degrees(C2, (), (0,)).sigma1() == GradedElement.scalar(C2, 2)
+    assert SuperBundle.from_degrees(C2, (), (0,)).sigma1() == GradedElement.from_coeffs(C2, [2])
 
 
 def test_sigma1_curve_line():

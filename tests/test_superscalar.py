@@ -46,7 +46,6 @@ def test_invert_pi():
 def test_zero_divisors_not_invertible(body, soul):
     with pytest.raises(NotInvertible):
         SuperScalar(body, soul).invert()
-    assert not SuperScalar(body, soul).is_invertible
 
 
 def test_one_minus_pi_annihilates_one_plus_pi():
@@ -84,9 +83,12 @@ def test_associativity_and_distributivity(x, y, z):
 
 @given(scalars)
 def test_invert_is_involutive(x):
-    if x.is_invertible:
+    if x.body**2 != x.soul**2:
         assert x.invert().invert() == x
         assert x * x.invert() == ONE
+    else:
+        with pytest.raises(NotInvertible):
+            x.invert()
 
 
 def test_ring_axioms_bulk():
@@ -106,7 +108,7 @@ def test_ring_axioms_bulk():
         assert x * (y + z) == x * y + x * z
         assert (x + y) + z == x + (y + z)
         assert x + ZERO == x and x * ONE == x
-        if x.is_invertible:
+        if x.body**2 != x.soul**2:
             inv = x.invert()
             assert x * inv == ONE
             assert inv.invert() == x
