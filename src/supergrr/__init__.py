@@ -31,7 +31,6 @@ from .grr import (
 from .modulidim import (
     InvalidRank,
     ModuliParams,
-    Properness,
     TargetSpec,
     bosonic_dimension,
     chi_gauge,
@@ -74,7 +73,6 @@ __all__ = [
     "TargetSpec",
     "InvalidRank",
     "pullback_tangent",
-    "Properness",
     "chi_gauge",
     "vdim_closed",
     "vdim_assembled",

@@ -266,14 +266,6 @@ class GradedElement(Value):
             ),
         )
 
-    def __mul__(self, other: "GradedElement | SuperScalar | int | Fraction") -> "GradedElement":
-        if isinstance(other, GradedElement):
-            return self.ring_mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other: SuperScalar | int | Fraction) -> "GradedElement":
-        return self.scale(other)
-
     def series_invert(self) -> "GradedElement":
         """Multiplicative inverse by a truncated geometric series.
 

@@ -39,6 +39,14 @@ CSV_COLUMNS = [
 ]
 
 
+# the flags each --target kind reads, keyed as in the request's target object
+TARGET_FLAGS = {
+    "psuper": ("r", "s", "d"),
+    "custom": ("r", "s", "tau", "phi_int"),
+    "point": (),
+}
+
+
 class CliError(Exception):
     """Validation failure; reported on stderr with exit code 1."""
 
@@ -54,7 +62,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     vdim = sub.add_parser("vdim", help="virtual dimension of the supermap moduli")
-    vdim.add_argument("--target", choices=["psuper", "custom", "point"], default="psuper")
+    vdim.add_argument("--target", choices=list(TARGET_FLAGS), default="psuper")
     vdim.add_argument("--r", type=_int, default=1)
     vdim.add_argument("--s", type=_int, default=0)
     vdim.add_argument("--d", type=_int, default=0)
@@ -155,21 +163,13 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
     return tuple(chunks)
 
 
-def _target_from_args(args) -> TargetSpec:
-    if args.target == "psuper":
-        return TargetSpec.psuper(args.r, args.s, args.d)
-    if args.target == "point":
-        return TargetSpec.point()
-    return TargetSpec.custom(args.r, args.s, args.tau, args.phi_int)
-
-
 def _cmd_vdim(args) -> int:
-    params = ModuliParams(args.g, args.ns, args.rr)
-    target = _target_from_args(args)
-    response = evaluate_request(
-        {"params": params.to_json(), "target": target.to_json()},
-        alternate_odd_sign=args.use_paper_dimmod2_sign,
-    )
+    target = {key: getattr(args, key) for key in TARGET_FLAGS[args.target]}
+    request = {
+        "params": {"g": args.g, "n_ns": args.ns, "n_rr": args.rr},
+        "target": {"kind": args.target, **target},
+    }
+    response = evaluate_request(request, alternate_odd_sign=args.use_paper_dimmod2_sign)
     closed = SuperScalar.from_json(response["closed"])
     document = json.dumps(response, indent=2)
     if args.json:
@@ -284,7 +284,7 @@ def _cmd_table(args) -> int:
             params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
             value = vdim_closed(params, target)
             bosonic = bosonic_dimension(params, target)
-            proper = properness_hint(target, params).value
+            proper = properness_hint(target, params)
             writer.writerow([*point, value.body, value.soul, bosonic, proper])
             rows += 1
         return rows

@@ -48,10 +48,6 @@ class NormalData(Value):
         """Normal data from a list of exact degrees (int, Fraction or "p/q")."""
         return cls(SuperBundle.from_degrees(model, (), degrees))
 
-    @property
-    def model(self) -> ChowModel:
-        return self.conormal.model
-
 
 class KClass(Value):
     """K-theory class identified with its Chern-character image."""
@@ -60,10 +56,6 @@ class KClass(Value):
 
     def __init__(self, ch_image: GradedElement) -> None:
         set_field(self, "ch_image", ch_image)
-
-    @property
-    def model(self) -> ChowModel:
-        return self.ch_image.model
 
     def __mul__(self, other: "KClass") -> "KClass":
         """Untwisted product, i.e. the product of character images."""

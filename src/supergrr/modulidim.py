@@ -8,6 +8,13 @@ Two independent routes are implemented and cross-checked:
   computed through the Riemann-Roch engine on a split supercurve with
   spin twist deg L = g - 1 + n_rr/2.
 
+TargetSpec owns a target's invariants.  A P^{r|s} target keeps its image
+degree d beside its degree data (tau, phi_int), and the constructor
+refuses the two when they disagree, so bosonic_dimension (read from d)
+and the closed formula (read from tau and phi_int) always describe the
+same target.  TargetSpec.from_json is the one reader of a target kind,
+for requests and the vdim command alike.
+
 A target's rank and degree data become the restricted tangent bundle in
 pullback_tangent, beside TargetSpec, and only there: it decides which
 data a bundle can realize and raises InvalidRank for the rest.
@@ -33,7 +40,6 @@ Python warnings.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from math import lcm
 
@@ -77,8 +83,10 @@ class TargetSpec(Value):
     """Smooth target of dimension r|s with degree data over the image cycle.
 
     tau is the even tangent degree integral; phi_int the integral of the
-    odd conormal data.  For projective superspace P^{r|s} with image
-    degree d these specialize to tau = d(r+1) and phi_int = -s d.
+    odd conormal data.  Giving an image degree d makes the target
+    projective superspace P^{r|s}: then r >= 1, d >= 0 and the degree
+    data must be tau = d(r+1) and phi_int = -s d, so d and (tau, phi_int)
+    never disagree.
     """
 
     __slots__ = ("r", "s", "tau", "phi_int", "d")
@@ -89,28 +97,29 @@ class TargetSpec(Value):
         r, s = parse_int(r, "r"), parse_int(s, "s")
         if d is not None:
             d = parse_int(d, "d")
+            if r < 1:
+                raise ValueError("projective superspace needs r >= 1")
+            if d < 0:
+                raise ValueError("image degree must be nonnegative")
         if r < 0 or s < 0:
             raise ValueError("target ranks must be nonnegative")
+        tau, phi_int = parse_rational(tau, "tau"), parse_rational(phi_int, "phi_int")
+        if d is not None and (tau, phi_int) != (d * (r + 1), -s * d):
+            raise ValueError(
+                f"degree {d} on P^{{{r}|{s}}} needs tau = {d * (r + 1)} and "
+                f"phi_int = {-s * d}, not {tau} and {phi_int}"
+            )
         set_field(self, "r", r)
         set_field(self, "s", s)
-        set_field(self, "tau", parse_rational(tau, "tau"))
-        set_field(self, "phi_int", parse_rational(phi_int, "phi_int"))
+        set_field(self, "tau", tau)
+        set_field(self, "phi_int", phi_int)
         set_field(self, "d", d)
 
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":
         """Projective superspace P^{r|s}, image class d times a line."""
         r, s, d = parse_int(r, "r"), parse_int(s, "s"), parse_int(d, "d")
-        if r < 1:
-            raise ValueError("projective superspace needs r >= 1")
-        if d < 0:
-            raise ValueError("image degree must be nonnegative")
-        return cls(r, s, Fraction(d * (r + 1)), Fraction(-s * d), d=d)
-
-    @classmethod
-    def custom(cls, r: int, s: int, tau, phi_int) -> "TargetSpec":
-        """tau and phi_int are each an int, a Fraction or a "p/q" string."""
-        return cls(r, s, tau, phi_int)
+        return cls(r, s, d * (r + 1), -s * d, d)
 
     @classmethod
     def point(cls) -> "TargetSpec":
@@ -152,7 +161,7 @@ class TargetSpec(Value):
         r, s = require_key(obj, "r", "target"), require_key(obj, "s", "target")
         if kind == "psuper":
             return cls.psuper(r, s, require_key(obj, "d", "target"))
-        return cls.custom(r, s, obj.get("tau", 0), obj.get("phi_int", 0))
+        return cls(r, s, obj.get("tau", 0), obj.get("phi_int", 0))
 
 
 class InvalidRank(ValueError):
@@ -182,11 +191,6 @@ def pullback_tangent(curve: SplitSupercurve, target: TargetSpec) -> SuperBundle:
     even = (tau_n,) + (0,) * (r - 1)
     odd = (-phi_n,) + (0,) * (s - 1) if s else ()
     return SuperBundle(curve.model, even, odd, den)
-
-
-class Properness(enum.Enum):
-    PROPER = "proper"
-    NOT_PROPER = "not_proper"
 
 
 def chi_gauge(params: ModuliParams) -> SuperScalar:
@@ -253,8 +257,8 @@ def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
     return Fraction(2 * spin_dim + s * (2 * d + n_rr), 2)
 
 
-def properness_hint(target: TargetSpec, params: ModuliParams) -> Properness:
-    """Proper iff s = 0, or both the image degree and n_rr vanish, for a generic spin structure.
+def properness_hint(target: TargetSpec, params: ModuliParams) -> str:
+    """Return "proper" iff s = 0 or d = n_rr = 0, else "not_proper" (generic spin structure).
 
     At d = 0, n_rr = 0, g >= 1 and s >= 1 the odd spin structures have
     h0(L) >= 1 (Atiyah 1971; Mumford 1971): on those components the fibre
@@ -263,8 +267,8 @@ def properness_hint(target: TargetSpec, params: ModuliParams) -> Properness:
     if target.kind != "psuper":
         raise ValueError("properness hint is defined for projective-superspace targets")
     if target.s == 0 or (target.d == 0 and params.n_rr == 0):
-        return Properness.PROPER
-    return Properness.NOT_PROPER
+        return "proper"
+    return "not_proper"
 
 
 def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict:
@@ -307,5 +311,5 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     }
     if target.kind == "psuper":
         response["bosonic_dimension"] = str(bosonic_dimension(params, target))
-        response["properness"] = properness_hint(target, params).value
+        response["properness"] = properness_hint(target, params)
     return response

@@ -12,12 +12,19 @@ per requested case.
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supergrr.cli import main
-from supergrr.modulidim import evaluate_request
+from supergrr.modulidim import (
+    ModuliParams,
+    TargetSpec,
+    bosonic_dimension,
+    evaluate_request,
+    vdim_closed,
+)
 
 SMALL = st.integers(-6, 12)
 NATURAL = st.integers(0, 6)
@@ -88,6 +95,35 @@ def test_evaluate_request_answers_or_refuses(request, alternate_odd_sign):
     json.dumps(response)
     if not alternate_odd_sign:
         assert response["consistent"] in (True, None), request
+
+
+# -- targets --------------------------------------------------------------------
+
+DEGREE_DATA = st.builds(Fraction, SMALL, st.integers(1, 3))
+
+
+@st.composite
+def target_args(draw):
+    """(r, s, tau, phi_int, d): often degree data that agree with d, else any small data."""
+    r, s, d = draw(SMALL), draw(SMALL), draw(st.none() | SMALL)
+    if d is not None and draw(st.booleans()):
+        return r, s, d * (r + 1), -s * d, d
+    return r, s, draw(DEGREE_DATA), draw(DEGREE_DATA), d
+
+
+@settings(deadline=None, max_examples=300)
+@given(target_args(), NATURAL, NATURAL, NATURAL)
+def test_accepted_targets_are_one_target(args, g, n_ns, n_rr):
+    # a target the constructor accepts reads back as itself, and for P^{r|s}
+    # its image degree and its degree data give the same even dimension
+    try:
+        target = TargetSpec(*args[:4], d=args[4])
+    except ValueError:
+        return
+    assert TargetSpec.from_json(json.loads(json.dumps(target.to_json()))) == target
+    if target.kind == "psuper":
+        params = ModuliParams(g, n_ns, n_rr)
+        assert bosonic_dimension(params, target) == vdim_closed(params, target).body
 
 
 # -- the command line -----------------------------------------------------------

@@ -150,6 +150,22 @@ def test_vdim_rejects_bad_flags(capsys):
     assert "error" in err
 
 
+PSUPER_REFUSALS = [
+    (["--r", "-1"], "projective superspace needs r >= 1"),
+    (["--d", "-1"], "image degree must be nonnegative"),
+    (["--r", "0", "--d", "1"], "projective superspace needs r >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,message", PSUPER_REFUSALS, ids=[" ".join(flags) for flags, _ in PSUPER_REFUSALS]
+)
+def test_vdim_psuper_refusals_keep_their_text(capsys, flags, message):
+    # the TargetSpec constructor makes these checks; vdim prints its text as one line
+    code, out, err = run_cli(capsys, "vdim", "--target", "psuper", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 INT_FLAGS = [
     (["vdim"], flag) for flag in ("--r", "--s", "--d", "--g", "--ns", "--rr")
 ] + [

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -11,7 +13,6 @@ from supergrr import (
     InvalidRank,
     ModuliParams,
     NonIntegralTwist,
-    Properness,
     SplitSupercurve,
     SuperBundle,
     SuperScalar,
@@ -32,6 +33,8 @@ SWEEP = list(
 )
 # the (g, n_ns, n_rr) part of the sweep
 SOURCES = sorted({point[:3] for point in SWEEP})
+# the (r, s, d) part of the sweep
+PSUPER_GRID = sorted({point[3:] for point in SWEEP})
 
 
 # -- the Fraction oracle --------------------------------------------------------
@@ -88,7 +91,7 @@ def _same(value, expected):
 def test_closed_forms_match_fraction_oracle(g, n_ns, n_rr, r, s, d, tau, phi_int, alternate):
     params = ModuliParams(g, n_ns, n_rr)
     _same(chi_gauge(params), ref_chi_gauge(g, n_ns, n_rr))
-    custom = TargetSpec.custom(r, s, tau, phi_int)
+    custom = TargetSpec(r, s, tau, phi_int)
     _same(
         vdim_closed(params, custom, alternate_odd_sign=alternate),
         ref_vdim_closed(g, n_ns, n_rr, r, s, tau, phi_int, alternate),
@@ -141,12 +144,37 @@ def test_point_target():
 
 
 def test_custom_target_kind():
-    t = TargetSpec.custom(2, 1, Fraction(5), Fraction(-1))
+    t = TargetSpec(2, 1, Fraction(5), Fraction(-1))
     assert t.kind == "custom"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, 1, 5, 7, 1), "degree 1 on P^{2|1} needs tau = 3 and phi_int = -1, not 5 and 7"),
+        ((0, 0, 0, 0, 0), "projective superspace needs r >= 1"),
+        ((1, 0, 0, 0, -3), "image degree must be nonnegative"),
+        ((-1, -1, 0, 0, -1), "projective superspace needs r >= 1"),
+        ((1, -1, 0, 0, 0), "target ranks must be nonnegative"),
+    ],
+    ids=["degree-data-disagrees", "rank-zero", "negative-degree", "r-first", "ranks-after"],
+)
+def test_target_spec_refuses_inconsistent_psuper_data(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        TargetSpec(*args[:4], d=args[4])
+    assert str(excinfo.value) == message
+
+
+def test_psuper_targets_round_trip_on_the_sweep():
+    for r, s, d in PSUPER_GRID:
+        target = TargetSpec.psuper(r, s, d)
+        from_json = TargetSpec.from_json(json.loads(json.dumps(target.to_json())))
+        for twin in (from_json, copy.copy(target), pickle.loads(pickle.dumps(target))):
+            assert twin == target and twin.kind == "psuper"
+
+
 def test_target_json_round_trip():
-    for t in [TargetSpec.psuper(2, 1, 3), TargetSpec.point(), TargetSpec.custom(1, 0, 7, 2)]:
+    for t in [TargetSpec.psuper(2, 1, 3), TargetSpec.point(), TargetSpec(1, 0, 7, 2)]:
         assert TargetSpec.from_json(json.loads(json.dumps(t.to_json()))) == t
 
 
@@ -191,11 +219,11 @@ def test_vdim_closed_affine_slopes():
         d_d = vdim_closed(params, TargetSpec.psuper(r, s, d + 1)) - v0
         assert d_d == SuperScalar(r + 1 + s, -(r + 1 + s))
 
-        custom = TargetSpec.custom(r, s, Fraction(4), Fraction(1))
+        custom = TargetSpec(r, s, Fraction(4), Fraction(1))
         v_custom = vdim_closed(params, custom)
-        d_tau = vdim_closed(params, TargetSpec.custom(r, s, 5, 1)) - v_custom
+        d_tau = vdim_closed(params, TargetSpec(r, s, 5, 1)) - v_custom
         assert d_tau == SuperScalar(1, -1)
-        d_phi = vdim_closed(params, TargetSpec.custom(r, s, 4, 2)) - v_custom
+        d_phi = vdim_closed(params, TargetSpec(r, s, 4, 2)) - v_custom
         assert d_phi == SuperScalar(-1, 1)
 
         # second differences vanish: the formula is affine, not merely local
@@ -218,7 +246,7 @@ def test_assembled_equals_closed_spot_checks():
         (ModuliParams(0), TargetSpec.psuper(3, 0, 1)),
         (ModuliParams(2, 3, 4), TargetSpec.psuper(4, 3, 2)),
         (ModuliParams(1, 0, 6), TargetSpec.psuper(1, 2, 0)),
-        (ModuliParams(3, 2, 0), TargetSpec.custom(2, 1, Fraction(5), Fraction(3))),
+        (ModuliParams(3, 2, 0), TargetSpec(2, 1, Fraction(5), Fraction(3))),
         (ModuliParams(2, 1, 2), TargetSpec.point()),
     ]:
         assert vdim_assembled(params, target) == vdim_closed(params, target)
@@ -231,7 +259,7 @@ def test_assembled_rejects_odd_rr():
 
 def test_assembled_rejects_degree_on_rank_zero_target():
     with pytest.raises(InvalidRank):
-        vdim_assembled(ModuliParams(0), TargetSpec.custom(0, 0, 1, 0))
+        vdim_assembled(ModuliParams(0), TargetSpec(0, 0, 1, 0))
 
 
 def test_point_target_restricts_to_the_zero_bundle():
@@ -339,13 +367,10 @@ def test_s_zero_specialization_term_by_term():
 
 def test_properness_cases():
     p = ModuliParams(0, 0, 0)
-    assert properness_hint(TargetSpec.psuper(2, 0, 3), p) == Properness.PROPER
-    assert properness_hint(TargetSpec.psuper(2, 2, 1), p) == Properness.NOT_PROPER
-    assert properness_hint(TargetSpec.psuper(2, 3, 0), p) == Properness.PROPER
-    assert (
-        properness_hint(TargetSpec.psuper(2, 3, 0), ModuliParams(0, 0, 2))
-        == Properness.NOT_PROPER
-    )
+    assert properness_hint(TargetSpec.psuper(2, 0, 3), p) == "proper"
+    assert properness_hint(TargetSpec.psuper(2, 2, 1), p) == "not_proper"
+    assert properness_hint(TargetSpec.psuper(2, 3, 0), p) == "proper"
+    assert properness_hint(TargetSpec.psuper(2, 3, 0), ModuliParams(0, 0, 2)) == "not_proper"
 
 
 def test_properness_requires_psuper():
@@ -428,10 +453,10 @@ def test_evaluate_request_refuses_inexact_numbers(params, target):
 
 
 def test_targets_read_rationals_exactly():
-    target = TargetSpec.custom(2, 1, "-3/4", 5)
+    target = TargetSpec(2, 1, "-3/4", 5)
     assert (target.tau, target.phi_int) == (Fraction(-3, 4), Fraction(5))
     with pytest.raises(ValueError):
-        TargetSpec.custom(2, 1, 0.5, 0)
+        TargetSpec(2, 1, 0.5, 0)
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ FROZEN = {
         "TargetSpec(r=1, s=1, tau=Fraction(2, 1), phi_int=Fraction(-1, 1), d=1)",
     ),
     "TargetSpec custom": (
-        lambda: TargetSpec.custom(1, 0, "1/2", 0),
+        lambda: TargetSpec(1, 0, "1/2", 0),
         "TargetSpec(r=1, s=0, tau=Fraction(1, 2), phi_int=Fraction(0, 1), d=None)",
     ),
     "SuiteResult": (
