@@ -15,7 +15,7 @@ numerators and the denominator is 1.  That form is canonical, so == and
 hash compare it field by field; the product is two integer convolutions
 and one gcd reduction.  The SuperScalar coefficient of degree k,
 body = (x+ + x-)/2 and soul = (x+ - x-)/2, is rebuilt only at the
-boundary (coeffs, coefficient, integrate, str and JSON).  A coefficient
+boundary (coeffs, coefficient, integrate and JSON).  A coefficient
 is a zero divisor of Q[P] exactly when one of its two values vanishes.
 
 That integer form has one home, shared with superbundle and grr:
@@ -108,10 +108,6 @@ class ChowModel(Value):
             return 1
         return self.dim
 
-    @property
-    def generator_name(self) -> str:
-        return "w" if self.kind == "curve" else "h"
-
     def __str__(self) -> str:
         if self.kind == "point":
             return "point"
@@ -131,7 +127,7 @@ class ChowModel(Value):
         if not isinstance(obj, dict):
             raise ValueError(f"a model is a JSON object with a kind, not {obj!r}")
         kind = obj.get("kind")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         check_keys(obj, _KINDS[kind], "model")
         if kind == "point":
@@ -186,21 +182,6 @@ class GradedElement(Value):
     @classmethod
     def one(cls, model: ChowModel) -> "GradedElement":
         return cls.from_coeffs(model, (1,))
-
-    @classmethod
-    def monomial(
-        cls, model: ChowModel, degree: int, value: SuperScalar | int | Fraction = 1
-    ) -> "GradedElement":
-        if not 0 <= degree <= model.top_degree:
-            raise ValueError(f"degree {degree} out of range for {model}")
-        return cls.from_coeffs(model, [0] * degree + [value])
-
-    @classmethod
-    def generator(cls, model: ChowModel) -> "GradedElement":
-        """The degree-1 generator w (curve) or h (projective space)."""
-        if model.top_degree < 1:
-            raise ValueError("a point has no positive-degree generator")
-        return cls.monomial(model, 1)
 
     # -- accessors --------------------------------------------------------
 
@@ -299,26 +280,7 @@ class GradedElement(Value):
         """Pushforward to a point: the top-degree coefficient."""
         return self.coefficient(self.model.top_degree)
 
-    # -- rendering / serialization -----------------------------------------
-
-    def __str__(self) -> str:
-        gen = self.model.generator_name if self.model.top_degree else ""
-        out = ""
-        for degree, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sign = "-" if (not c.soul and c.body < 0) else "+"
-            txt = str(-c if sign == "-" else c)
-            if c.soul or "/" in txt:
-                txt = f"({txt})"
-            if degree > 0:
-                power = gen if degree == 1 else f"{gen}^{degree}"
-                txt = power if txt == "1" else f"{txt}*{power}"
-            if not out:
-                out = txt if sign == "+" else f"-{txt}"
-            else:
-                out += f" {sign} {txt}"
-        return out or "0"
+    # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
         return {

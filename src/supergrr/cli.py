@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .grr import SplitSupercurve, chi_super, rr_oracle
 from .modulidim import (
+    TARGET_KEYS,
     ModuliParams,
     TargetSpec,
     bosonic_dimension,
@@ -39,12 +40,8 @@ CSV_COLUMNS = [
 ]
 
 
-# the flags each --target kind reads, keyed as in the request's target object
-TARGET_FLAGS = {
-    "psuper": ("r", "s", "d"),
-    "custom": ("r", "s", "tau", "phi_int"),
-    "point": (),
-}
+# the value of each target flag left out, applied only to the keys the --target kind reads
+_TARGET_DEFAULTS = {"r": 1, "s": 0, "d": 0, "tau": 0, "phi_int": 0}
 
 
 class CliError(Exception):
@@ -62,12 +59,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     vdim = sub.add_parser("vdim", help="virtual dimension of the supermap moduli")
-    vdim.add_argument("--target", choices=list(TARGET_FLAGS), default="psuper")
-    vdim.add_argument("--r", type=_int, default=1)
-    vdim.add_argument("--s", type=_int, default=0)
-    vdim.add_argument("--d", type=_int, default=0)
-    vdim.add_argument("--tau", type=_rational, default=Fraction(0))
-    vdim.add_argument("--phi-int", type=_rational, default=Fraction(0))
+    vdim.add_argument("--target", choices=list(TARGET_KEYS), default="psuper")
+    # a target flag is in args only when given, so one the kind does not read can be refused
+    vdim.add_argument("--r", type=_int, default=argparse.SUPPRESS)
+    vdim.add_argument("--s", type=_int, default=argparse.SUPPRESS)
+    vdim.add_argument("--d", type=_int, default=argparse.SUPPRESS)
+    vdim.add_argument("--tau", type=_rational, default=argparse.SUPPRESS)
+    vdim.add_argument("--phi-int", type=_rational, default=argparse.SUPPRESS)
     vdim.add_argument("--g", type=_int, default=0, help="genus")
     vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
     vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
@@ -164,7 +162,12 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
 
 
 def _cmd_vdim(args) -> int:
-    target = {key: getattr(args, key) for key in TARGET_FLAGS[args.target]}
+    given, keys = vars(args), TARGET_KEYS[args.target]
+    for key in _TARGET_DEFAULTS:
+        if key in given and key not in keys:
+            flag = key.replace("_", "-")
+            raise CliError(f"argument --{flag}: --target {args.target} does not read it")
+    target = {key: given.get(key, _TARGET_DEFAULTS[key]) for key in keys}
     request = {
         "params": {"g": args.g, "n_ns": args.ns, "n_rr": args.rr},
         "target": {"kind": args.target, **target},

@@ -13,7 +13,9 @@ degree d beside its degree data (tau, phi_int), and the constructor
 refuses the two when they disagree, so bosonic_dimension (read from d)
 and the closed formula (read from tau and phi_int) always describe the
 same target.  TargetSpec.from_json is the one reader of a target kind,
-for requests and the vdim command alike.
+for requests and the vdim command alike.  TARGET_KEYS lists the JSON
+keys of each kind once: TargetSpec's codec and the vdim flags both read
+it, so a new kind is one row there plus one constructor.
 
 A target's rank and degree data become the restricted tangent bundle in
 pullback_tangent, beside TargetSpec, and only there: it decides which
@@ -79,6 +81,10 @@ class ModuliParams(Value):
         return cls(require_key(obj, "g", "params"), obj.get("n_ns", 0), obj.get("n_rr", 0))
 
 
+# the JSON keys of each target kind after "kind", in order; the vdim flags read the same keys
+TARGET_KEYS = {"psuper": ("r", "s", "d"), "custom": ("r", "s", "tau", "phi_int"), "point": ()}
+
+
 class TargetSpec(Value):
     """Smooth target of dimension r|s with degree data over the image cycle.
 
@@ -134,30 +140,23 @@ class TargetSpec(Value):
         return "custom"
 
     def to_json(self) -> dict:
-        if self.kind == "psuper":
-            return {"kind": "psuper", "r": self.r, "s": self.s, "d": self.d}
-        if self.kind == "point":
-            return {"kind": "point"}
-        return {
-            "kind": "custom",
-            "r": self.r,
-            "s": self.s,
-            "tau": str(self.tau),
-            "phi_int": str(self.phi_int),
-        }
+        kind = self.kind
+        out = {"kind": kind}
+        for key in TARGET_KEYS[kind]:
+            value = getattr(self, key)
+            out[key] = str(value) if type(value) is Fraction else value
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "TargetSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"target must be a JSON object, not {obj!r}")
         kind = obj.get("kind", "psuper")
-        if kind == "point":
-            check_keys(obj, ("kind",), "target")
-            return cls.point()
-        if kind not in ("psuper", "custom"):
+        if not isinstance(kind, str) or kind not in TARGET_KEYS:
             raise ValueError(f"unknown target kind {kind!r}")
-        degree_keys = ("d",) if kind == "psuper" else ("tau", "phi_int")
-        check_keys(obj, ("kind", "r", "s", *degree_keys), "target")
+        check_keys(obj, ("kind", *TARGET_KEYS[kind]), "target")
+        if kind == "point":
+            return cls.point()
         r, s = require_key(obj, "r", "target"), require_key(obj, "s", "target")
         if kind == "psuper":
             return cls.psuper(r, s, require_key(obj, "d", "target"))
@@ -182,7 +181,7 @@ def pullback_tangent(curve: SplitSupercurve, target: TargetSpec) -> SuperBundle:
     if r == 0 and s == 0:
         if tau or phi:
             raise InvalidRank("rank 0|0 target cannot carry nonzero degree data")
-        return SuperBundle(curve.model, (), (), 1)
+        return SuperBundle.zero(curve.model)
     if r < 1 or s < 0:
         raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
     if s == 0 and phi:

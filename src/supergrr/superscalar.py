@@ -4,7 +4,7 @@ SuperScalar is the boundary type of this package: the element
 ``body + P*soul`` with exact rational components, where P is the
 parity-change involution.  Degrees, Euler characteristics and virtual
 dimensions are SuperScalars, and so is every coefficient a graded class
-hands out, prints or serialises.  Because P**2 = 1 the ring splits into
+hands out or serialises.  Because P**2 = 1 the ring splits into
 two eigenlines spanned by the idempotents (1 + P)/2 and (1 - P)/2, so
 the graded classes themselves are stored over Q x Q, by their values at
 P = +1 and P = -1 (see chowring).  An element is invertible exactly when
@@ -118,9 +118,6 @@ class SuperScalar(Value):
         return SuperScalar(a * c + b * d, a * d + b * c)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "SuperScalar | int | Fraction") -> "SuperScalar":
-        return self * coerce(other).invert()
 
     def __bool__(self) -> bool:
         return bool(self.body) or bool(self.soul)

@@ -122,7 +122,7 @@ def test_criterion_5_bosonic_sanity_oracle():
         td = GradedElement.one(model)
         for _ in range(r + 1):
             td = td.ring_mul(factor)
-        h = GradedElement.generator(model)
+        h = GradedElement.from_coeffs(model, (0, 1))
         for k in range(-3, 7):
             value = h.scale(k).exp_nilpotent().ring_mul(td).integrate()
             if value != SuperScalar(binomial(k, r)):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import warnings
 
 import pytest
 
-from supergrr.cli import CSV_COLUMNS, _parse_range, main
+from supergrr.cli import CSV_COLUMNS, _parse_range, build_parser, main
+from supergrr.modulidim import TARGET_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,64 @@ def test_vdim_psuper_refusals_keep_their_text(capsys, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# every target key that some kind reads, in flag-check order (r, s, d, tau, phi_int)
+TARGET_FLAG_KEYS = list(dict.fromkeys(key for keys in TARGET_KEYS.values() for key in keys))
+UNREAD_FLAGS = [
+    (kind, key) for kind, keys in TARGET_KEYS.items() for key in TARGET_FLAG_KEYS
+    if key not in keys
+]
+
+
+def test_vdim_target_choices_are_the_target_kinds():
+    vdim = build_parser()._subparsers._group_actions[0].choices["vdim"]
+    (target,) = [action for action in vdim._actions if action.dest == "target"]
+    assert target.choices == list(TARGET_KEYS)
+
+
+@pytest.mark.parametrize("kind,key", UNREAD_FLAGS, ids=[f"{k}-{f}" for k, f in UNREAD_FLAGS])
+def test_vdim_refuses_a_flag_its_target_kind_does_not_read(capsys, kind, key):
+    flag = "--" + key.replace("_", "-")
+    code, out, err = run_cli(capsys, "vdim", "--target", kind, flag, "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: --target {kind} does not read it\n"
+
+
+def test_vdim_names_the_first_unread_flag_in_flag_order(capsys):
+    # before unread flags were refused, this printed 3 - 3*P and dropped --tau and --phi-int
+    argv = ["vdim", "--target", "psuper", "--r", "2", "--s", "1", "--d", "1"]
+    code, out, err = run_cli(capsys, *argv, "--phi-int", "5", "--tau", "99")
+    assert (code, out, err) == (1, "", "error: argument --tau: --target psuper does not read it\n")
+    code, out, err = run_cli(capsys, "vdim", "--target", "point", "--phi-int", "1", "--r", "4")
+    assert (code, out, err) == (1, "", "error: argument --r: --target point does not read it\n")
+
+
+# stdout sha256 of `vdim --target KIND --g 1 --ns 1`, captured before unread flags were refused
+VDIM_KIND_DIGESTS = {
+    "psuper": "8be79d620746764bf1acbd9f0b0c606cc2e35042aaa514fa5973bf1e47051679",
+    "custom": "c51da729db224f9eeeb375b5192af664413e8d9f9a1c049516d330519076512c",
+    "point": "7b35fc1ba5a75caf1799b0bbf88efbae3ebe15876377300bd131e1d33089a473",
+}
+DOCUMENTED_FLAG_DEFAULTS = {"r": "1", "s": "0", "d": "0", "tau": "0", "phi_int": "0"}
+
+
+@pytest.mark.parametrize("kind", list(VDIM_KIND_DIGESTS))
+def test_vdim_own_flags_left_out_or_given_keep_their_bytes(capsys, kind):
+    own = [
+        ["--" + key.replace("_", "-"), DOCUMENTED_FLAG_DEFAULTS[key]] for key in TARGET_KEYS[kind]
+    ]
+    for flags in [[], *own, [arg for pair in own for arg in pair]]:
+        code, out, err = run_cli(capsys, "vdim", "--target", kind, "--g", "1", "--ns", "1", *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VDIM_KIND_DIGESTS[kind]
+
+
+def test_vdim_with_no_flags_keeps_its_bytes(capsys):
+    code, out, err = run_cli(capsys, "vdim")
+    assert (code, err) == (0, "")
+    digest = "7dae613c0b8d91eaa8f953d6ac6174bacdfc35458507dfa56f75793a964eed70"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 INT_FLAGS = [
     (["vdim"], flag) for flag in ("--r", "--s", "--d", "--g", "--ns", "--rr")
 ] + [
@@ -317,8 +377,8 @@ def test_chi_rejects_inexact_degrees(capsys, bundle):
 
 @pytest.mark.parametrize(
     "model",
-    ['"curve"', '{"kind": "curve", "genus": 1.7}'],
-    ids=["string-model", "float-genus"],
+    ['"curve"', '{"kind": "curve", "genus": 1.7}', '{"kind": []}'],
+    ids=["string-model", "float-genus", "list-kind"],
 )
 def test_chi_rejects_malformed_model(capsys, model):
     bundle = '{"model": %s, "even_degs": [1]}' % model

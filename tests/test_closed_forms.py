@@ -44,7 +44,7 @@ def roots(bundle):
         # a point has no degree-1 class, and every degree on it is 0
         if model.top_degree < 1:
             return GradedElement.zero(model)
-        return GradedElement.monomial(model, 1, d)
+        return GradedElement.from_coeffs(model, (0, d))
 
     return [root(d) for d in bundle.even_degs], [root(d) for d in bundle.odd_degs]
 

@@ -165,6 +165,12 @@ def test_target_spec_refuses_inconsistent_psuper_data(args, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("kind", [[], {}, ["point"], 1, None], ids=repr)
+def test_target_json_refuses_a_kind_outside_the_table(kind):
+    with pytest.raises(ValueError, match="^unknown target kind "):
+        TargetSpec.from_json({"kind": kind})
+
+
 def test_psuper_targets_round_trip_on_the_sweep():
     for r, s, d in PSUPER_GRID:
         target = TargetSpec.psuper(r, s, d)

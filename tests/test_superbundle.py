@@ -125,7 +125,7 @@ def test_todd_series_on_p3():
 def test_todd_odd_line_general_root():
     # 1 + e**-m with m = 2h on P^3
     E = SuperBundle.from_degrees(P3, (), (2,))
-    expected = GradedElement.one(P3) + GradedElement.monomial(P3, 1, -2).exp_nilpotent()
+    expected = GradedElement.one(P3) + GradedElement.from_coeffs(P3, (0, -2)).exp_nilpotent()
     assert E.todd() == expected
 
 
@@ -165,7 +165,7 @@ def test_pi_shift_involution():
 def test_tensor_of_even_lines():
     L1 = SuperBundle.from_degrees(C2, (2,), ())
     L2 = SuperBundle.from_degrees(C2, (3,), ())
-    expected = GradedElement.monomial(C2, 1, 5).exp_nilpotent()
+    expected = GradedElement.from_coeffs(C2, (0, 5)).exp_nilpotent()
     assert L1.tensor(L2).chern_character() == expected
 
 
@@ -174,7 +174,7 @@ def test_tensor_of_odd_lines_is_even():
     L2 = SuperBundle.from_degrees(C2, (), (3,))
     product = L1.tensor(L2)
     assert product.rank == (1, 0)
-    expected = GradedElement.monomial(C2, 1, 5).exp_nilpotent()
+    expected = GradedElement.from_coeffs(C2, (0, 5)).exp_nilpotent()
     assert product.chern_character() == expected
 
 

@@ -114,12 +114,6 @@ def test_ring_axioms_bulk():
             assert inv.invert() == x
 
 
-def test_division():
-    x = SuperScalar(5, 3)
-    assert (x / x) == ONE
-    assert SuperScalar(1) / SuperScalar(2) == SuperScalar(Fraction(1, 2))
-
-
 # -- rendering and parsing ---------------------------------------------------
 
 
