@@ -15,8 +15,9 @@ numerators and the denominator is 1.  That form is canonical, so == and
 hash compare it field by field; the product is two integer convolutions
 and one gcd reduction.  The SuperScalar coefficient of degree k,
 body = (x+ + x-)/2 and soul = (x+ - x-)/2, is rebuilt only at the
-boundary (coeffs, coefficient, integrate and JSON).  A coefficient
-is a zero divisor of Q[P] exactly when one of its two values vanishes.
+boundary (coeffs, coefficient, integrate, integrate_product and JSON).
+A coefficient is a zero divisor of Q[P] exactly when one of its two
+values vanishes.
 
 That integer form has one home, shared with superbundle and grr:
 common_denominator puts Fractions over their least common denominator,
@@ -193,9 +194,7 @@ class GradedElement(Value):
     def coefficient(self, degree: int) -> SuperScalar:
         if not 0 <= degree < len(self.plus):
             return ZERO
-        plus, minus = self.plus[degree], self.minus[degree]
-        twice = 2 * self.denominator
-        return SuperScalar(Fraction(plus + minus, twice), Fraction(plus - minus, twice))
+        return _scalar(self.plus[degree], self.minus[degree], self.denominator)
 
     def __bool__(self) -> bool:
         return any(self.plus) or any(self.minus)
@@ -337,11 +336,31 @@ def check_model(a, b) -> None:
         raise ModelMismatch(f"{a.model} vs {b.model}")
 
 
+def integrate_product(a: GradedElement, b: GradedElement) -> SuperScalar:
+    """The integral of a.ring_mul(b), paired degree by degree without building the product.
+
+    The top coefficient of a product is the sum of a_i * b_(top - i), one
+    integer dot product per component over a.denominator * b.denominator.
+    """
+    check_model(a, b)
+    return _scalar(
+        sum(map(mul, a.plus, b.plus[::-1])),
+        sum(map(mul, a.minus, b.minus[::-1])),
+        a.denominator * b.denominator,
+    )
+
+
 def align(a, b) -> tuple[int, int, int]:
     """check_model, then the lcm of both denominators and the factors that bring a and b to it."""
     check_model(a, b)
     denominator = lcm(a.denominator, b.denominator)
     return denominator, denominator // a.denominator, denominator // b.denominator
+
+
+def _scalar(plus: int, minus: int, denominator: int) -> SuperScalar:
+    """The SuperScalar whose values at P = +1 and P = -1 are plus and minus over denominator."""
+    twice = 2 * denominator
+    return SuperScalar(Fraction(plus + minus, twice), Fraction(plus - minus, twice))
 
 
 def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chowring import ChowModel, GradedElement, check_model
+from .chowring import ChowModel, GradedElement, check_model, integrate_product
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, Value, parse_int, set_field
 
@@ -86,9 +86,9 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
 
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Euler characteristic by integration: integral of ch(gr U) . td(T_X)."""
-    graded = gr_module(curve, bundle)
-    integrand = graded.chern_character().ring_mul(_curve_todd(curve.genus))
-    return integrand.integrate()
+    return integrate_product(
+        gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus)
+    )
 
 
 def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

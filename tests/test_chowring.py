@@ -16,6 +16,7 @@ from supergrr import (
     PI,
     SuperScalar,
 )
+from supergrr.chowring import integrate_product
 
 POINT = ChowModel.point()
 CURVE2 = ChowModel.curve(2)
@@ -230,6 +231,44 @@ def test_integrate_curve():
 def test_integrate_point():
     s = SuperScalar(Fraction(7, 2), -1)
     assert GradedElement.from_coeffs(POINT, [s]).integrate() == s
+
+
+INTEGRATION_MODELS = (
+    [POINT]
+    + [ChowModel.curve(g) for g in range(4)]
+    + [ChowModel.proj_space(r) for r in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("model", INTEGRATION_MODELS, ids=str)
+def test_integrate_product_is_the_integral_of_the_product(model):
+    # fractional bodies and souls in every coefficient
+    rng = random.Random(str(model))
+    for _ in range(200):
+        a, b = _random_element(rng, model), _random_element(rng, model)
+        assert integrate_product(a, b) == a.ring_mul(b).integrate()
+
+
+def test_integrate_product_builds_no_element(monkeypatch):
+    a, b = eltc(P3, 1, Fraction(1, 2), 0, 3), eltc(P3, SuperScalar(2, Fraction(-1, 3)), 0, 5)
+    expected = a.ring_mul(b).integrate()
+
+    def refuse(*args):
+        raise AssertionError("integrate_product built a GradedElement")
+
+    monkeypatch.setattr(GradedElement, "__init__", refuse)
+    assert integrate_product(a, b) == expected
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(CURVE2, P2), (CURVE2, ChowModel.curve(3)), (ChowModel.curve(0), ChowModel.proj_space(1)),
+     (POINT, ChowModel.curve(0))],
+    ids=str,
+)
+def test_integrate_product_refuses_different_models(a, b):
+    with pytest.raises(ModelMismatch):
+        integrate_product(GradedElement.one(a), GradedElement.one(b))
 
 
 def binomial(k, r):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import subprocess
@@ -656,3 +657,38 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["closed"] == {"body": "4", "soul": "-2"}
+
+
+# The console script and python -m supergrr both end in entrypoint, which freezes
+# the heap once main() has returned.  The child reports the freeze count from an
+# atexit hook, which runs after SystemExit leaves the module and before the
+# interpreter's shutdown collections.
+_FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys; "
+    "atexit.register(lambda: print(f'freeze count {gc.get_freeze_count()}', file=sys.stderr)); "
+    "runpy.run_module('supergrr', run_name='__main__')"
+)
+
+EXIT_PATHS = {
+    "exit-0": ["vdim", "--target", "point"],
+    "exit-1": ["vdim", "--g", "-1"],
+    "exit-2": ["vdim", "--target", "psuper", "--r", "2", "--s", "1", "--d", "1", "--g", "0",
+               "--use-paper-dimmod2-sign"],
+}
+
+
+@pytest.mark.parametrize("argv", list(EXIT_PATHS.values()), ids=list(EXIT_PATHS))
+def test_process_exit_freezes_the_heap_and_keeps_the_output(capsys, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *argv], capture_output=True, text=True, timeout=120
+    )
+    err, marker, count = proc.stderr.rpartition("freeze count ")
+    assert marker and int(count) > 0, proc.stderr
+    assert (proc.returncode, proc.stdout, err) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", list(EXIT_PATHS.values()), ids=list(EXIT_PATHS))
+def test_main_in_process_leaves_the_heap_unfrozen(capsys, argv):
+    frozen = gc.get_freeze_count()
+    run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == frozen

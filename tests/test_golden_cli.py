@@ -7,12 +7,19 @@ full default ``table`` sweep, the seeded ``grr-check`` and
 ``identities`` runs, the README ``vdim`` and ``chi`` examples, and a
 ``vdim --json`` request with an odd ``--rr``, which pins the two notes
 in its ``warnings`` list.
+
+The fast commands, every ``vdim`` and ``chi`` entry, are also run as
+``python -m supergrr`` processes, so the bytes and exit code that leave
+the process through its exit path are pinned too.  The ``table``,
+``grr-check`` and ``identities`` entries run in-process only.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -82,13 +89,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_cli_output_is_byte_identical(name, tmp_path):
+FAST = [name for name in GOLDEN if name.startswith(("vdim-", "chi-"))]
+
+
+def _case(name, tmp_path):
     argv, code, digest = GOLDEN[name]
     bundle_file = tmp_path / "bundle.json"
     bundle_file.write_text(json.dumps(BUNDLE_FILE), encoding="utf-8")
-    argv = [arg.replace("BUNDLE_FILE", str(bundle_file)) for arg in argv]
+    return [arg.replace("BUNDLE_FILE", str(bundle_file)) for arg in argv], code, digest
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_output_is_byte_identical(name, tmp_path):
+    argv, code, digest = _case(name, tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_cli_process_output_is_byte_identical(name, tmp_path):
+    argv, code, digest = _case(name, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergrr", *argv], capture_output=True, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
