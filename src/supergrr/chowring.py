@@ -12,10 +12,11 @@ Q x Q, so an element is stored as two plain rational coefficient vectors:
 its values at P = +1 and at P = -1.  Both are kept as integer numerators
 over one shared positive denominator, reduced so that the gcd of all
 numerators and the denominator is 1.  That form is canonical, so == and
-hash compare it field by field; the product is two integer convolutions
-and one gcd reduction.  The SuperScalar coefficient of degree k,
-body = (x+ + x-)/2 and soul = (x+ - x-)/2, is rebuilt only at the
-boundary (coeffs, coefficient, integrate, integrate_product and JSON).
+hash compare it field by field; the product is one pass over the degree
+pairs i + j <= top that fills both components, then one gcd reduction.
+The SuperScalar coefficient of degree k, body = (x+ + x-)/2 and
+soul = (x+ - x-)/2, is rebuilt only at the boundary (coeffs,
+coefficient, integrate, integrate_product and JSON).
 A coefficient is a zero divisor of Q[P] exactly when one of its two
 values vanishes.
 
@@ -224,15 +225,24 @@ class GradedElement(Value):
         )
 
     def ring_mul(self, other: "GradedElement") -> "GradedElement":
-        """Product in the truncated ring: one convolution per component."""
+        """Product in the truncated ring, both components in one pass over degree pairs.
+
+        Degree k of each component sums a[i] * b[k - i] over i = 0..k, so
+        only the pairs i + j <= top are multiplied; one gcd reduction follows.
+        """
         check_model(self, other)
+        a_plus, a_minus, b_plus, b_minus = self.plus, self.minus, other.plus, other.minus
+        plus = []
+        minus = []
+        for k in range(len(a_plus)):
+            p = m = 0
+            for i in range(k + 1):
+                p += a_plus[i] * b_plus[k - i]
+                m += a_minus[i] * b_minus[k - i]
+            plus.append(p)
+            minus.append(m)
         return GradedElement(
-            self.model,
-            *lowest_terms(
-                _convolve(self.plus, other.plus),
-                _convolve(self.minus, other.minus),
-                self.denominator * other.denominator,
-            ),
+            self.model, *lowest_terms(plus, minus, self.denominator * other.denominator)
         )
 
     def scale(self, value: SuperScalar | int | Fraction) -> "GradedElement":
@@ -369,10 +379,3 @@ def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:
     pairs = list(zip(parts, parts[len(values) :]))
     return [b + s for b, s in pairs], [b - s for b, s in pairs], denominator
 
-
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Truncated product of two integer coefficient vectors of one length."""
-    # degree k pairs a[i] with b[k - i]: zip stops at the k + 1 entries of the reversed tail
-    reverse = b[::-1]
-    last = len(b) - 1
-    return [sum(map(mul, a, reverse[last - k :])) for k in range(len(a))]

@@ -17,14 +17,20 @@ direct_sum and tensor bring both operands to the lcm of their
 denominators (chowring's align) and reduce.  A purely odd bundle (rank 0|s) is also the
 conormal data of ktheory.
 
-Every class below is a function of the power sums p_k(a) = sum_i a_i**k
-and p_k(m), taken in integers on the stored numerators (D**k p_k), and
-is built straight from its values at P = +1 and P = -1 (see chowring);
-the P or 2**s factor becomes one factor per component:
+Every class below is computed in integers on the stored numerators and
+built straight from its values at P = +1 and P = -1 (see chowring); the
+P or 2**s factor becomes one factor per component.  The total Chern
+class is a product over the roots, in y = x / D:
+
+* total Chern class: c(E) = P**s * prod_i (1 + a_i x) / prod_j (1 + m_j x);
+  a root of degree n / D gives the factor 1 + n y, so each even root
+  multiplies by an integer factor and each odd root divides by one
+  exactly: every coefficient stays an integer
+
+The others are functions of the power sums p_k(a) = sum_i a_i**k and
+p_k(m), taken as D**k p_k:
 
 * Chern character:   ch_k(E) = (p_k(a) - P * p_k(m)) / k!
-* total Chern class: c(E) = P**s * exp(sum_k (-1)**(k-1) (p_k(a) - p_k(m)) / k * x**k),
-  which is P**s * prod_i (1 + a_i x) / prod_j (1 + m_j x)
 * Todd character:    td(E) = 2**s * exp(sum_k (tau_k p_k(a) + upsilon_k p_k(m)) x**k),
   which is prod_i a_i x / (1 - e**(-a_i x)) * prod_j (1 + e**(-m_j x))
 * sigma_1 (purely odd bundles): 2**s * exp(sum_k upsilon'_k p_k(m) x**k),
@@ -122,14 +128,23 @@ class SuperBundle(Value):
         )
 
     def chern_total(self) -> GradedElement:
-        """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1."""
+        """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1.
+
+        c[k] is the coefficient of y**k = (x / D)**k.  Multiplying by 1 + n y
+        runs k downwards; dividing by 1 + n y runs k upwards, each c[k]
+        taking the new c[k - 1].
+        """
         top = self.model.top_degree
-        even, odd = _power_sums(top, self.even, self.odd)
-        row_den, row = _log_one_plus_row(top)
-        exponent = [c * (a - m) for c, a, m in zip(row, even, odd)]
-        return _scaled_exp(
-            self.model, exponent, row_den, self.denominator, minus=(-1) ** len(self.odd)
-        )
+        c = [1] + [0] * top
+        for n in self.even:
+            for k in range(top, 0, -1):
+                c[k] += n * c[k - 1]
+        for n in self.odd:
+            for k in range(1, top + 1):
+                c[k] -= n * c[k - 1]
+        c = [factorial(k) * x for k, x in enumerate(c)]
+        sign = (-1) ** len(self.odd)
+        return _over_factorials(self.model, c, [sign * x for x in c], self.denominator)
 
     def c1(self) -> SuperScalar:
         return self.chern_total().coefficient(1)
@@ -141,14 +156,12 @@ class SuperBundle(Value):
         row_den, tau, upsilon = _todd_rows(top)
         exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
         scale = 2 ** len(self.odd)
-        return _scaled_exp(
-            self.model, exponent, row_den, self.denominator, plus=scale, minus=scale
-        )
+        return _scaled_exp(self.model, exponent, row_den, self.denominator, scale=scale)
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
         scale = 2 ** len(self.odd)
-        return _scaled_exp(self.model, *self._sigma1_exponent(), plus=scale, minus=scale)
+        return _scaled_exp(self.model, *self._sigma1_exponent(), scale=scale)
 
     def sigma1_inverse(self) -> GradedElement:
         """sigma1()**-1: the exponent negated, divided by 2**s."""
@@ -239,11 +252,11 @@ class SuperBundle(Value):
 # -- the boundary: exact degrees in ---------------------------------------------------
 
 
-def _parse_degrees(model: ChowModel, values) -> list[Fraction]:
-    """A list or tuple of exact degrees, read by parse_rational."""
+def _parse_degrees(model: ChowModel, values) -> list[Fraction | int]:
+    """A list or tuple of exact degrees: an int as is, anything else read by parse_rational."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"root degrees must be given as a list, not {values!r}")
-    degs = [parse_rational(v, "root degree") for v in values]
+    degs = [v if type(v) is int else parse_rational(v, "root degree") for v in values]
     if model.top_degree < 1 and any(degs):
         raise ValueError("nonzero root degree on a point model")
     return degs
@@ -295,13 +308,12 @@ def _scaled_exp(
     row_den: int,
     den: int,
     *,
-    plus: int = 1,
-    minus: int = 1,
+    scale: int = 1,
     divisor: int = 1,
 ) -> GradedElement:
-    """(plus at P = +1, minus at P = -1) / divisor * exp(g), in integers.
+    """scale / divisor * exp(g), in integers; equal at P = +1 and P = -1.
 
-    The one place a class meets its P**s, 2**s or 2**-s factor.  The
+    Where td and sigma_1 meet their 2**s or 2**-s factor.  The
     exponent has no constant term and is g_k = exponent[k] / (R * D**k),
     a cached row over R times power sums over D.  In y = x / D, g has
     coefficients G_j / R, so f = exp(g) is f_k = F_k / (k! (R D)**k) with
@@ -322,9 +334,8 @@ def _scaled_exp(
             total += weighted[j] * series[k - j] * falling
             falling *= k - j
         series.append(total)
-    return _over_factorials(
-        model, [plus * f for f in series], [minus * f for f in series], row_den * den, divisor
-    )
+    series = [scale * f for f in series]
+    return _over_factorials(model, series, series, row_den * den, divisor)
 
 
 def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
@@ -333,13 +344,6 @@ def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
     for k in range(1, len(f)):
         g.append(f[k] - sum((j * g[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k)
     return tuple(g)
-
-
-@lru_cache(maxsize=64)
-def _log_one_plus_row(top: int) -> tuple[int, tuple[int, ...]]:
-    """log(1 + x)."""
-    row = _series_log([Fraction(1)] + [Fraction(int(k == 1)) for k in range(1, top + 1)])
-    return common_denominator(row)
 
 
 @lru_cache(maxsize=64)

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergrr import (
     PI,
@@ -146,6 +148,30 @@ def test_closed_forms_match_per_root_oracle(model):
         assert odd.sigma1() == sigma1, odd
         assert odd.sigma1_inverse() == sigma1.series_invert(), odd
         assert odd.sigma1().ring_mul(odd.sigma1_inverse()) == GradedElement.one(model)
+
+
+# an int or a fraction with a small denominator, as the bench draws them
+DEGREES = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=7),
+)
+
+
+@st.composite
+def summands(draw, model):
+    """One rank-0..3|0..3 summand; a point takes only zero degrees."""
+    degree = DEGREES if model.top_degree else st.just(0)
+    even, odd = (draw(st.lists(degree, max_size=3)) for _ in range(2))
+    return SuperBundle.from_degrees(model, even, odd)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_chern_total_of_a_sum_matches_oracle(model, data):
+    """c(e + f) against the per-root oracle for ranks 0..6|0..6, the shape the bench uses."""
+    bundle = data.draw(summands(model)).direct_sum(data.draw(summands(model)))
+    assert bundle.chern_total() == oracle_c(bundle), bundle
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)

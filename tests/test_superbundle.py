@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,45 @@ def test_degree_strings_read_exactly():
     assert E.even_degs == (Fraction(-3, 4), Fraction(2), Fraction(5))
     assert E.odd_degs == (Fraction(1, 3),)
     assert SuperBundle.from_json(E.to_json()) == E
+
+
+@pytest.mark.parametrize(
+    "even,odd",
+    [
+        ([2, -3], [5]),
+        ([Fraction(2), Fraction(-3)], [Fraction(5)]),
+        (["2", "-3"], ["5"]),
+        ([2, Fraction(-3)], ["5"]),
+        (["2", -3], [Fraction(5)]),
+    ],
+    ids=["int", "Fraction", "str", "int-Fraction-str", "str-int-Fraction"],
+)
+def test_int_degrees_read_like_fractions_and_strings(even, odd):
+    reference = SuperBundle.from_degrees(P3, ["2", "-3"], ["5"])
+    E = SuperBundle.from_degrees(P3, even, odd)
+    assert E == reference
+    assert hash(E) == hash(reference)
+    assert str(E) == str(reference) == "bundle[P^3; even=(2,-3); odd=(5)]"
+    assert E.to_json() == reference.to_json()
+    assert E.chern_total() == reference.chern_total()
+
+
+@pytest.mark.parametrize("degree", [True, False, 1.0, None, "1.0"], ids=repr)
+def test_non_int_degrees_are_refused_with_one_text(degree):
+    message = f"root degree must be an int or a 'p/q' string, not {degree!r}"
+    for model in (C2, P3, ChowModel.point()):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuperBundle.from_degrees(model, [2, degree], ())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SuperBundle.from_degrees(model, (), [degree])
+
+
+@pytest.mark.parametrize("degree", [1, -2, Fraction(1, 2), "3"], ids=repr)
+def test_point_model_refuses_a_nonzero_degree_of_any_type(degree):
+    point = ChowModel.point()
+    for even, odd in (([0, degree], ()), ((), [degree])):
+        with pytest.raises(ValueError, match="^nonzero root degree on a point model$"):
+            SuperBundle.from_degrees(point, even, odd)
 
 
 def test_json_requires_model_somewhere():
