@@ -195,7 +195,7 @@ def _cmd_vdim(args) -> int:
         print(closed)
         print(f"consistency: {response['consistent']}")
         print(document)
-    if response["consistent"] is False:
+    if not response["consistent"]:
         assembled = SuperScalar.from_json(response["assembled"])
         print("consistency failure: closed formula differs from assembled route", file=sys.stderr)
         print(
@@ -286,11 +286,13 @@ def _cmd_table(args) -> int:
     import csv
 
     axes = [_parse_range(flag, getattr(args, flag)) for flag in ("g", "ns", "rr", "r", "s", "d")]
-    # Every constraint on a row is a lower bound, so the smallest value of
-    # each flag fails whenever any row would: bad input is refused before
-    # the header, and no partial CSV is written.
+    # Bad input is refused before the header, so no partial CSV is written.
+    # Every constraint but the parity of n_rr is a lower bound, so the
+    # smallest value of each flag fails whenever any row would; a chunk of
+    # n_rr holds an odd value iff one of its first two values is odd.
     lowest = [min(chunk.start for chunk in axis if chunk) for axis in axes]
-    ModuliParams(*lowest[:3])
+    for n_rr in itertools.chain.from_iterable(chunk[:2] for chunk in axes[2]):
+        ModuliParams(*lowest[:2], n_rr)
     TargetSpec.psuper(*lowest[3:])
 
     def write(stream) -> int:

@@ -39,6 +39,22 @@ class NonIntegralTwist(ValueError):
     """An odd Ramond count makes the spin twist g - 1 + n_rr/2 non-integral."""
 
 
+def parse_ramond_count(n_rr) -> int:
+    """The one check of a Ramond count, for susy and ModuliParams: a nonnegative even int.
+
+    L^2 = omega_C(R) with deg omega_C even makes the count even and deg L an
+    integer.  An odd count raises NonIntegralTwist, a negative one ValueError.
+    """
+    n_rr = parse_int(n_rr, "n_rr")
+    if n_rr < 0 or n_rr % 2:
+        error = NonIntegralTwist if n_rr % 2 else ValueError
+        raise error(
+            f"n_rr={n_rr} is not a Ramond count: it must be a nonnegative even integer "
+            "(an odd count makes the spin twist g - 1 + n_rr/2 non-integral)"
+        )
+    return n_rr
+
+
 class SplitSupercurve(Value):
     """Genus-g curve with odd direction twisted by a line bundle of integer degree deg_l."""
 
@@ -53,13 +69,8 @@ class SplitSupercurve(Value):
 
     @classmethod
     def susy(cls, genus: int, n_rr: int = 0) -> "SplitSupercurve":
-        """Spin-structure twist deg L = g - 1 + n_rr/2 (must be integral)."""
-        genus, n_rr = parse_int(genus, "genus"), parse_int(n_rr, "n_rr")
-        if n_rr % 2:
-            raise NonIntegralTwist(
-                f"g={genus}, n_rr={n_rr} gives non-integral twist degree "
-                f"{Fraction(2 * genus - 2 + n_rr, 2)}"
-            )
+        """Spin-structure twist deg L = g - 1 + n_rr/2 of a nonnegative even count n_rr."""
+        genus, n_rr = parse_int(genus, "genus"), parse_ramond_count(n_rr)
         return cls(genus, genus - 1 + n_rr // 2)
 
     @property

@@ -21,10 +21,10 @@ A target's rank and degree data become the restricted tangent bundle in
 pullback_tangent, beside TargetSpec, and only there: it decides which
 data a bundle can realize and raises InvalidRank for the rest.
 
-The closed route computes in integers over one denominator 2q, with q
-the common denominator of the target's degree data, and builds a
-Fraction only for each part of its result; chi_gauge and
-bosonic_dimension do the same over the denominator 2.  The closed route
+The closed route computes in integers over one denominator q, the
+common denominator of the target's degree data, and builds a Fraction
+only for each part of its result; chi_gauge and bosonic_dimension
+compute in integers alone.  The closed route
 stays independent: it reads neither the assembled route nor chi_gauge,
 and bosonic_dimension does not read it.
 
@@ -33,11 +33,9 @@ alternate (1-g)(s+2) reading of that factor exists in print; the two
 differ by 4(1-g)P, so the alternate breaks the cross-check for every
 g != 1.  The regression flag exists to demonstrate exactly that.
 
-Both routes return a SuperScalar.  The closed formula also takes an odd
-count n_rr of Ramond punctures, where its value is rational; the
-assembled route then has no integral spin twist and refuses.
-evaluate_request reports that case as notes in its response, not as
-Python warnings.
+Both routes return a SuperScalar.  ModuliParams holds only an even
+count n_rr of Ramond punctures (grr.parse_ramond_count), so n_rr/2 is
+an integer on both routes.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chowring import common_denominator
-from .grr import SplitSupercurve, chi_super
+from .grr import SplitSupercurve, chi_super, parse_ramond_count
 from .superbundle import SuperBundle
 from .superscalar import (
     SuperScalar,
@@ -60,14 +58,15 @@ from .superscalar import (
 
 
 class ModuliParams(Value):
-    """Genus and puncture counts of the source supercurves."""
+    """Genus and puncture counts of the source supercurves; the Ramond count is even."""
 
     __slots__ = ("g", "n_ns", "n_rr")
 
     def __init__(self, g: int, n_ns: int = 0, n_rr: int = 0) -> None:
-        g, n_ns, n_rr = parse_int(g, "g"), parse_int(n_ns, "n_ns"), parse_int(n_rr, "n_rr")
-        if g < 0 or n_ns < 0 or n_rr < 0:
+        g, n_ns = parse_int(g, "g"), parse_int(n_ns, "n_ns")
+        if g < 0 or n_ns < 0:
             raise ValueError("genus and puncture counts must be nonnegative")
+        n_rr = parse_ramond_count(n_rr)
         set_field(self, "g", g)
         set_field(self, "n_ns", n_ns)
         set_field(self, "n_rr", n_rr)
@@ -199,9 +198,7 @@ def chi_gauge(params: ModuliParams) -> SuperScalar:
     chi = (3 - 3g - n_ns - n_rr) - P (2 - 2g - n_ns - n_rr/2).
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
-    return SuperScalar(
-        Fraction(3 - 3 * g - n_ns - n_rr), Fraction(n_rr - 2 * (2 - 2 * g - n_ns), 2)
-    )
+    return SuperScalar(Fraction(3 - 3 * g - n_ns - n_rr), Fraction(n_rr // 2 - 2 + 2 * g + n_ns))
 
 
 def vdim_closed(
@@ -215,28 +212,26 @@ def vdim_closed(
     Even part (r-3)(1-g) + n_ns + n_rr (1 + s/2) + I and odd-part
     coefficient -[(1-g)(s-2) + n_ns + (n_rr/2)(r+1) + I], with I the
     degree integral of the target.  ``alternate_odd_sign`` switches the
-    (s-2) factor to the printed variant (s+2).  An odd n_rr is allowed
-    and gives a rational value with half-integral parts; the assembled
-    route has no counterpart for it.
+    (s-2) factor to the printed variant (s+2).
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
+    half = n_rr // 2
     r, s = target.r, target.s
     tau, phi = target.tau, target.phi_int
-    # I = tau - phi_int = integral / q; every term is then an integer over 2q
+    # I = tau - phi_int = integral / q; every term is then an integer over q
     q = lcm(tau.denominator, phi.denominator)
     integral = tau.numerator * (q // tau.denominator) - phi.numerator * (q // phi.denominator)
     s_term = s + 2 if alternate_odd_sign else s - 2
-    body = 2 * q * ((r - 3) * (1 - g) + n_ns + n_rr) + q * n_rr * s + 2 * integral
-    soul = 2 * q * ((1 - g) * s_term + n_ns) + q * n_rr * (r + 1) + 2 * integral
-    return SuperScalar(Fraction(body, 2 * q), Fraction(-soul, 2 * q))
+    body = q * ((r - 3) * (1 - g) + n_ns + n_rr + half * s) + integral
+    soul = q * ((1 - g) * s_term + n_ns + half * (r + 1)) + integral
+    return SuperScalar(Fraction(body, q), Fraction(-soul, q))
 
 
 def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge).
 
-    An odd n_rr raises NonIntegralTwist: the spin twist g - 1 + n_rr/2 of
-    the supercurve is not an integer.  Target data that no bundle
-    realizes raises InvalidRank in pullback_tangent.
+    Target data that no bundle realizes raises InvalidRank in
+    pullback_tangent.
     """
     curve = SplitSupercurve.susy(params.g, params.n_rr)
     return chi_super(curve, pullback_tangent(curve, target)) - chi_gauge(params)
@@ -253,7 +248,7 @@ def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     r, s, d = target.r, target.s, target.d
     spin_dim = (r - 3) * (1 - g) + n_ns + n_rr + d * (r + 1)
-    return Fraction(2 * spin_dim + s * (2 * d + n_rr), 2)
+    return Fraction(spin_dim + s * (d + n_rr // 2))
 
 
 def properness_hint(target: TargetSpec, params: ModuliParams) -> str:
@@ -274,39 +269,27 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     """Evaluate the JSON calculator request and return the JSON response.
 
     The response carries the closed and assembled values, a consistency
-    flag, and (for projective-superspace targets) the bosonic dimension
-    and properness hint.  With an odd n_rr the assembled route is
-    refused and reported as null, and the response's "warnings" list
-    carries two notes that say so; it is empty otherwise.  A key that
-    the request, its params or its target does not know is refused.
+    flag (always a bool), and (for projective-superspace targets) the
+    bosonic dimension and properness hint.  An odd or negative n_rr is
+    refused, as is a key that the request, its params or its target does
+    not know.  The "warnings" key is always an empty list, kept so that
+    the response keeps its keys and its bytes.
     """
     check_keys(request, ("params", "target"), "request")
     params = ModuliParams.from_json(require_key(request, "params", "request"))
     target = TargetSpec.from_json(require_key(request, "target", "request"))
     closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)
-    assembled: SuperScalar | None = None
-    consistent: bool | None = None
-    response_warnings: list[str] = []
-    if params.n_rr % 2 == 0:
-        assembled = vdim_assembled(params, target)
-        consistent = assembled == closed
-    else:
-        response_warnings = [
-            f"odd n_rr={params.n_rr}: closed formula evaluated with rational "
-            "arithmetic; the assembled route requires an even count",
-            "assembled route skipped: odd n_rr gives a non-integral spin twist",
-        ]
-
+    assembled = vdim_assembled(params, target)
     response = {
         "params": params.to_json(),
         "target": target.to_json(),
         "odd_part_reading": "s+2" if alternate_odd_sign else "s-2",
         "closed": closed.to_json(),
-        "assembled": assembled.to_json() if assembled is not None else None,
-        "consistent": consistent,
+        "assembled": assembled.to_json(),
+        "consistent": assembled == closed,
         "bosonic_dimension": None,
         "properness": None,
-        "warnings": response_warnings,
+        "warnings": [],
     }
     if target.kind == "psuper":
         response["bosonic_dimension"] = str(bosonic_dimension(params, target))

@@ -14,10 +14,12 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supergrr.cli import main
+from supergrr.grr import NonIntegralTwist
 from supergrr.modulidim import (
     ModuliParams,
     TargetSpec,
@@ -122,6 +124,10 @@ def test_accepted_targets_are_one_target(args, g, n_ns, n_rr):
         return
     assert TargetSpec.from_json(json.loads(json.dumps(target.to_json()))) == target
     if target.kind == "psuper":
+        if n_rr % 2:
+            with pytest.raises(NonIntegralTwist):
+                ModuliParams(g, n_ns, n_rr)
+            n_rr -= 1
         params = ModuliParams(g, n_ns, n_rr)
         assert bosonic_dimension(params, target) == vdim_closed(params, target).body
 

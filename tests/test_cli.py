@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from supergrr.cli import CSV_COLUMNS, _parse_range, build_parser, main
+from supergrr.grr import parse_ramond_count
 from supergrr.modulidim import TARGET_KEYS
 
 
@@ -112,15 +113,39 @@ def test_vdim_json_round_trips_documented_schemas(capsys):
     assert replay == payload
 
 
-def test_vdim_odd_rr_reports_warning(capsys):
-    code, out, _ = run_cli(
-        capsys, "vdim", "--target", "psuper", "--r", "2", "--d", "0", "--rr", "1", "--json"
+def _ramond_error(n_rr):
+    """The one stderr line of every refused Ramond count, from the library's one check."""
+    with pytest.raises(ValueError) as info:
+        parse_ramond_count(n_rr)
+    return f"error: {info.value}\n"
+
+
+def test_vdim_refuses_odd_rr(capsys):
+    # the golden vdim-odd-rr-json command: exit 1, no stdout, this one line
+    code, out, err = run_cli(
+        capsys,
+        "vdim", "--target", "psuper", "--r", "2", "--s", "1", "--d", "1", "--g", "0",
+        "--rr", "1", "--json",
     )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["assembled"] is None
-    assert payload["consistent"] is None
-    assert payload["warnings"]
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: n_rr=1 is not a Ramond count: it must be a nonnegative even integer "
+        "(an odd count makes the spin twist g - 1 + n_rr/2 non-integral)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,n_rr",
+    [
+        (["vdim", "--rr", "3", "--json"], 3),
+        (["vdim", "--rr", "-2"], -2),
+        (["chi", "--g", "0", "--rr", "1", "--bundle", '{"even_degs": [0]}'], 1),
+        (["chi", "--g", "0", "--rr", "-2", "--bundle", '{"even_degs": [0]}'], -2),
+    ],
+)
+def test_odd_or_negative_rr_is_refused_with_one_text(capsys, argv, n_rr):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", _ramond_error(n_rr))
 
 
 def test_vdim_alternate_sign_regression(capsys):
@@ -576,14 +601,37 @@ def test_table_stdout(capsys):
 
 
 def test_table_odd_rr_emits_no_python_warning(capsys):
+    # refused with its one error line, and no Python warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
             capsys, "table", "--g", "0", "--ns", "0", "--rr", "1",
             "--r", "1", "--s", "0", "--d", "0",
         )
+    assert (code, out, err) == (1, "", _ramond_error(1))
+
+
+# parity is not a lower bound: an odd value anywhere on the axis is refused before the header
+@pytest.mark.parametrize("rr,n_rr", [("0..3", 1), ("0,2,5", 5), ("4..6", 5), ("-2", -2)])
+def test_table_refuses_odd_rr_before_the_header(capsys, tmp_path, rr, n_rr):
+    flags = ["--g", "0", "--ns", "0", "--rr", rr, "--r", "1", "--s", "0", "--d", "0"]
+    code, out, err = run_cli(capsys, "table", *flags)
+    assert (code, out, err) == (1, "", _ramond_error(n_rr))
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "table", *flags, "--csv", str(path))
+    assert (code, out, err) == (1, "", _ramond_error(n_rr))
+    assert not path.exists()
+
+
+def test_table_reads_even_rr_chunks(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--g", "0", "--ns", "0", "--rr", "0,2..2,4",
+        "--r", "1", "--s", "0", "--d", "0",
+    )
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == "0,0,1,1,0,0,-1,1,-1,proper"
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == CSV_COLUMNS
+    assert [row[2] for row in rows[1:]] == ["0", "2", "4"]
 
 
 def test_table_rejects_bad_range(capsys):

@@ -5,8 +5,9 @@ implementation that the split Q x Q kernel replaced, so any change to
 the printed text, JSON or CSV shows up here.  The commands cover the
 full default ``table`` sweep, the seeded ``grr-check`` and
 ``identities`` runs, the README ``vdim`` and ``chi`` examples, and a
-``vdim --json`` request with an odd ``--rr``, which pins the two notes
-in its ``warnings`` list.
+``vdim --json`` request with an odd ``--rr``, which is refused with exit
+code 1 and prints nothing to stdout (``test_cli`` pins its ``error:``
+line).
 
 The fast commands, every ``vdim`` and ``chi`` entry, are also run as
 ``python -m supergrr`` processes, so the bytes and exit code that leave
@@ -73,8 +74,8 @@ GOLDEN = {
     "vdim-odd-rr-json": (
         ["vdim", "--target", "psuper", "--r", "2", "--s", "1", "--d", "1", "--g", "0",
          "--rr", "1", "--json"],
-        0,
-        "53418096aac233dbe4ebab89e2fbd62b2796538a8e5cf9f5a9d3bb38f2732e0d",
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "chi-inline": (
         ["chi", "--g", "2", "--rr", "0", "--bundle", '{"even_degs": [0], "odd_degs": []}'],

@@ -9,6 +9,7 @@ from supergrr import (
     GradedElement,
     InvalidRank,
     ModelMismatch,
+    ModuliParams,
     NonIntegralTwist,
     SplitSupercurve,
     SuperBundle,
@@ -41,6 +42,17 @@ def test_susy_rejects_odd_rr():
         for n_rr in (1, 3, 5):
             with pytest.raises(NonIntegralTwist):
                 SplitSupercurve.susy(g, n_rr)
+
+
+@pytest.mark.parametrize("n_rr", [-2, -4, -1])
+def test_susy_rejects_negative_rr(n_rr):
+    # the same rule and text as ModuliParams: a Ramond count is a nonnegative even integer
+    with pytest.raises(ValueError) as info:
+        SplitSupercurve.susy(0, n_rr)
+    with pytest.raises(ValueError) as other:
+        ModuliParams(0, 0, n_rr)
+    assert str(info.value) == str(other.value)
+    assert f"n_rr={n_rr} is not a Ramond count" in str(info.value)
 
 
 def test_supercurve_model_is_shared():

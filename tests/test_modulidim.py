@@ -25,6 +25,7 @@ from supergrr import (
     vdim_assembled,
     vdim_closed,
 )
+from supergrr.grr import parse_ramond_count
 
 SWEEP = list(
     itertools.product(
@@ -89,6 +90,11 @@ def _same(value, expected):
     st.booleans(),
 )
 def test_closed_forms_match_fraction_oracle(g, n_ns, n_rr, r, s, d, tau, phi_int, alternate):
+    # an odd draw is refused, and its even neighbour below is compared instead
+    if n_rr % 2:
+        with pytest.raises(NonIntegralTwist):
+            ModuliParams(g, n_ns, n_rr)
+        n_rr -= 1
     params = ModuliParams(g, n_ns, n_rr)
     _same(chi_gauge(params), ref_chi_gauge(g, n_ns, n_rr))
     custom = TargetSpec(r, s, tau, phi_int)
@@ -115,8 +121,10 @@ def test_chi_gauge_unpunctured(g):
 def test_chi_gauge_with_punctures():
     assert chi_gauge(ModuliParams(0, 3, 0)) == SuperScalar(0, 1)
     assert chi_gauge(ModuliParams(1, 0, 2)) == SuperScalar(-2, 1)
-    # odd n_rr gives a half-integral odd component: 2 - P(3/2)
-    assert chi_gauge(ModuliParams(0, 0, 1)) == SuperScalar(2, Fraction(-3, 2))
+    assert chi_gauge(ModuliParams(0, 0, 2)) == SuperScalar(1, -1)
+    # an odd n_rr has no half-integral gauge data: it is refused
+    with pytest.raises(NonIntegralTwist):
+        ModuliParams(0, 0, 1)
 
 
 def test_params_validation():
@@ -219,8 +227,9 @@ def test_vdim_closed_affine_slopes():
 
         d_rr = vdim_closed(ModuliParams(g, n_ns, n_rr + 2), target) - v0
         assert d_rr == SuperScalar(2 + s, -(r + 1))
-        d_rr_unit = vdim_closed(ModuliParams(g, n_ns, n_rr + 1), target) - v0
-        assert d_rr_unit == SuperScalar(1 + Fraction(s, 2), -Fraction(r + 1, 2))
+        # n_rr moves in steps of 2: the unit step is no Ramond count
+        with pytest.raises(NonIntegralTwist):
+            ModuliParams(g, n_ns, n_rr + 1)
 
         d_d = vdim_closed(params, TargetSpec.psuper(r, s, d + 1)) - v0
         assert d_d == SuperScalar(r + 1 + s, -(r + 1 + s))
@@ -237,11 +246,24 @@ def test_vdim_closed_affine_slopes():
         assert v2 - v0 == d_ns + d_ns
 
 
-def test_vdim_closed_odd_rr_is_rational_without_warning():
+def _ramond_message(n_rr):
+    with pytest.raises(ValueError) as info:
+        parse_ramond_count(n_rr)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n_rr", [1, 3, 7, -1, -2])
+def test_moduli_params_refuses_odd_rr(n_rr):
+    # an odd count raises NonIntegralTwist, a negative even one ValueError,
+    # both with the one text of grr.parse_ramond_count and no Python warning
+    error = NonIntegralTwist if n_rr % 2 else ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = vdim_closed(ModuliParams(0, 0, 1), TargetSpec.psuper(2, 1, 0))
-    assert value.soul.denominator == 2
+        with pytest.raises(error) as info:
+            ModuliParams(0, 0, n_rr)
+    assert type(info.value) is error
+    assert str(info.value) == _ramond_message(n_rr)
+    assert f"n_rr={n_rr}" in str(info.value)
 
 
 # -- assembled route ------------------------------------------------------------------
@@ -419,16 +441,25 @@ def test_evaluate_request_point_and_custom():
     assert response["consistent"] is True
 
 
-def test_evaluate_request_odd_rr_refuses_assembled():
-    response = evaluate_request(
-        {
-            "params": {"g": 0, "n_ns": 0, "n_rr": 1},
-            "target": {"kind": "psuper", "r": 2, "s": 0, "d": 0},
-        }
-    )
-    assert response["assembled"] is None
-    assert response["consistent"] is None
-    assert response["warnings"]
+@pytest.mark.parametrize("n_rr", [1, 3, -2])
+def test_evaluate_request_refuses_odd_rr(n_rr):
+    request = {
+        "params": {"g": 0, "n_ns": 0, "n_rr": n_rr},
+        "target": {"kind": "psuper", "r": 2, "s": 0, "d": 0},
+    }
+    with pytest.raises(NonIntegralTwist if n_rr % 2 else ValueError) as info:
+        evaluate_request(request)
+    assert str(info.value) == _ramond_message(n_rr)
+
+
+def test_evaluate_request_answers_every_even_rr_in_full():
+    # assembled is never null, consistent is always a bool, warnings always empty
+    target = {"kind": "psuper", "r": 2, "s": 1, "d": 1}
+    for n_rr in (0, 2, 4, 6):
+        response = evaluate_request({"params": {"g": 1, "n_rr": n_rr}, "target": target})
+        assert response["assembled"] == response["closed"]
+        assert response["consistent"] is True
+        assert response["warnings"] == []
 
 
 def test_evaluate_request_alternate_reading():

@@ -122,7 +122,7 @@ def test_equality_is_per_class():
 
 
 def test_fields_order_equality():
-    assert ModuliParams(0, 1) != ModuliParams(0, 0, 1)
+    assert ModuliParams(0, 2) != ModuliParams(0, 0, 2)
     assert SuperScalar(1, 2) != SuperScalar(2, 1)
     assert SplitSupercurve(1, 0) != SplitSupercurve(0, 1)
 
