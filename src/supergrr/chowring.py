@@ -347,17 +347,15 @@ def check_model(a, b) -> None:
 
 
 def integrate_product(a: GradedElement, b: GradedElement) -> SuperScalar:
-    """The integral of a.ring_mul(b), paired degree by degree without building the product.
+    """The integral of a.ring_mul(b), paired degree by degree without building the product."""
+    return _scalar(*_pairing(a, b))
 
-    The top coefficient of a product is the sum of a_i * b_(top - i), one
-    integer dot product per component over a.denominator * b.denominator.
-    """
+
+def _pairing(a: GradedElement, b: GradedElement) -> tuple[int, int, int]:
+    """integrate_product's sums of a_i * b_(top - i) at P = +1 and -1, over one denominator."""
     check_model(a, b)
-    return _scalar(
-        sum(map(mul, a.plus, b.plus[::-1])),
-        sum(map(mul, a.minus, b.minus[::-1])),
-        a.denominator * b.denominator,
-    )
+    plus, minus = sum(map(mul, a.plus, b.plus[::-1])), sum(map(mul, a.minus, b.minus[::-1]))
+    return plus, minus, a.denominator * b.denominator
 
 
 def align(a, b) -> tuple[int, int, int]:

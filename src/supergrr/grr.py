@@ -15,8 +15,10 @@ return the super Euler characteristic chi_S(U) = chi(even part) -
 P chi(odd part) as a SuperScalar.
 
 The twist deg L is an integer from construction, so gr needs no check
-of it.  Which bundle a moduli target restricts to is not decided here:
-modulidim builds that bundle beside its target type.
+of it.  SplitSupercurve.susy hands out one shared curve per genus and
+Ramond count, as the ChowModel named constructors do.  Which bundle a
+moduli target restricts to is not decided here: modulidim builds that
+bundle beside its target type.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .chowring import ChowModel, GradedElement, check_model, integrate_product
+from .chowring import ChowModel, GradedElement, _pairing, _scalar, _shared_model, check_model
 from .superbundle import SuperBundle
 from .superscalar import SuperScalar, Value, parse_int, set_field
 
@@ -67,16 +69,20 @@ class SplitSupercurve(Value):
         set_field(self, "genus", genus)
         set_field(self, "deg_l", parse_int(deg_l, "deg_l"))
 
-    @classmethod
-    def susy(cls, genus: int, n_rr: int = 0) -> "SplitSupercurve":
-        """Spin-structure twist deg L = g - 1 + n_rr/2 of a nonnegative even count n_rr."""
+    @staticmethod
+    def susy(genus: int, n_rr: int = 0) -> "SplitSupercurve":
+        """The shared curve with spin twist deg L = g - 1 + n_rr/2, n_rr a Ramond count."""
         genus, n_rr = parse_int(genus, "genus"), parse_ramond_count(n_rr)
-        return cls(genus, genus - 1 + n_rr // 2)
+        return _shared_curve(genus, genus - 1 + n_rr // 2)
 
     @property
     def model(self) -> ChowModel:
         """The genus-g curve model, shared rather than rebuilt on each access."""
-        return ChowModel.curve(self.genus)
+        return _shared_model("curve", self.genus, 0)
+
+
+# keyed on a parsed genus and its twist, so refused input never reaches the cache
+_shared_curve = lru_cache(maxsize=64)(SplitSupercurve)
 
 
 def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
@@ -97,9 +103,12 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
 
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
     """Euler characteristic by integration: integral of ch(gr U) . td(T_X)."""
-    return integrate_product(
-        gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus)
-    )
+    return _scalar(*_chi_values(curve, bundle))
+
+
+def _chi_values(curve: SplitSupercurve, bundle: SuperBundle) -> tuple[int, int, int]:
+    """chi_super at P = +1 and P = -1, over one denominator."""
+    return _pairing(gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus))
 
 
 def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

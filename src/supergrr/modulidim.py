@@ -21,12 +21,12 @@ A target's rank and degree data become the restricted tangent bundle in
 pullback_tangent, beside TargetSpec, and only there: it decides which
 data a bundle can realize and raises InvalidRank for the rest.
 
-The closed route computes in integers over one denominator q, the
-common denominator of the target's degree data, and builds a Fraction
-only for each part of its result; chi_gauge and bosonic_dimension
-compute in integers alone.  The closed route
-stays independent: it reads neither the assembled route nor chi_gauge,
-and bosonic_dimension does not read it.
+The closed route computes in integers over one denominator q, the common
+denominator of the target's degree data, and builds a Fraction only for each
+part of its result; the assembled route, in integers at P = +1 and -1,
+builds one SuperScalar.  chi_gauge and bosonic_dimension compute in integers
+alone.  The closed route stays independent: it reads neither the assembled
+route nor chi_gauge, and bosonic_dimension does not read it.
 
 The closed formula's odd part carries a coefficient (1-g)(s-2).  An
 alternate (1-g)(s+2) reading of that factor exists in print; the two
@@ -43,8 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .chowring import common_denominator
-from .grr import SplitSupercurve, chi_super, parse_ramond_count
+from .chowring import _scalar, common_denominator
+from .grr import SplitSupercurve, _chi_values, parse_ramond_count
 from .superbundle import SuperBundle
 from .superscalar import (
     SuperScalar,
@@ -191,14 +191,20 @@ def pullback_tangent(curve: SplitSupercurve, target: TargetSpec) -> SuperBundle:
     return SuperBundle(curve.model, even, odd, den)
 
 
+def _gauge_counts(params: ModuliParams) -> tuple[int, int]:
+    """The integers E and O of chi_gauge = E - P O, which vdim_assembled reads too."""
+    g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
+    return 3 - 3 * g - n_ns - n_rr, 2 - 2 * g - n_ns - n_rr // 2
+
+
 def chi_gauge(params: ModuliParams) -> SuperScalar:
     """Euler data of the gauge sheaf of infinitesimal deformations.
 
-    Its h^0 vanishes and h^1 is known in closed form, so
-    chi = (3 - 3g - n_ns - n_rr) - P (2 - 2g - n_ns - n_rr/2).
+    Its h^0 vanishes and h^1 is known in closed form, so chi = E - P O
+    with E = 3 - 3g - n_ns - n_rr and O = 2 - 2g - n_ns - n_rr/2.
     """
-    g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
-    return SuperScalar(Fraction(3 - 3 * g - n_ns - n_rr), Fraction(n_rr // 2 - 2 + 2 * g + n_ns))
+    even, odd = _gauge_counts(params)
+    return SuperScalar(Fraction(even), Fraction(-odd))
 
 
 def vdim_closed(
@@ -230,11 +236,13 @@ def vdim_closed(
 def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge).
 
-    Target data that no bundle realizes raises InvalidRank in
-    pullback_tangent.
+    Both in integers at P = +1 and -1 (chi_gauge = E - P O is E - O and E + O)
+    until one SuperScalar; target data no bundle realizes raises InvalidRank.
     """
     curve = SplitSupercurve.susy(params.g, params.n_rr)
-    return chi_super(curve, pullback_tangent(curve, target)) - chi_gauge(params)
+    plus, minus, den = _chi_values(curve, pullback_tangent(curve, target))
+    even, odd = _gauge_counts(params)
+    return _scalar(plus - den * (even - odd), minus - den * (even + odd), den)
 
 
 def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:

@@ -20,7 +20,7 @@ from supergrr import (
     pullback_tangent,
     rr_oracle,
 )
-from supergrr.grr import _curve_todd
+from supergrr.grr import _curve_todd, _shared_curve
 from supergrr.suites import random_supercurve_instance
 
 
@@ -113,6 +113,45 @@ def test_curve_todd_cache_is_bounded():
         bundle = bundle_on(curve, even=(1,))
         assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
     assert _curve_todd.cache_info().currsize <= 64
+
+
+def test_susy_curves_are_shared():
+    assert SplitSupercurve.susy(2, 2) is SplitSupercurve.susy(2, 2)
+    assert SplitSupercurve.susy(2) is SplitSupercurve.susy(2, 0)
+    assert SplitSupercurve.susy(0, 4) == SplitSupercurve(0, 1)
+
+
+def test_susy_cache_is_bounded():
+    # the genus comes from outside the program, so the shared curves must not grow with it
+    for genus in range(300):
+        assert SplitSupercurve.susy(genus).deg_l == genus - 1
+    info = _shared_curve.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+RAMOND_TEXT = (
+    "is not a Ramond count: it must be a nonnegative even integer "
+    "(an odd count makes the spin twist g - 1 + n_rr/2 non-integral)"
+)
+
+
+@pytest.mark.parametrize(
+    "genus,n_rr,error,text",
+    [
+        (0, 3, NonIntegralTwist, f"n_rr=3 {RAMOND_TEXT}"),
+        (0, -2, ValueError, f"n_rr=-2 {RAMOND_TEXT}"),
+        (0, True, ValueError, "n_rr must be an integer, not True"),
+        ("2", 0, ValueError, "genus must be an integer, not '2'"),
+        (-1, 0, ValueError, "genus must be nonnegative"),
+    ],
+    ids=repr,
+)
+def test_susy_refusals_keep_their_text_and_are_not_cached(genus, n_rr, error, text):
+    _shared_curve.cache_clear()
+    with pytest.raises(error) as info:
+        SplitSupercurve.susy(genus, n_rr)
+    assert type(info.value) is error and str(info.value) == text
+    assert _shared_curve.cache_info().currsize == 0
 
 
 # -- Euler characteristics ---------------------------------------------------------

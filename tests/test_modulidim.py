@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import pickle
+import random
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from supergrr import (
     TargetSpec,
     bosonic_dimension,
     chi_gauge,
+    chi_super,
     evaluate_request,
     properness_hint,
     pullback_tangent,
@@ -334,6 +336,24 @@ def test_closed_equals_assembled_full_sweep():
             s,
             d,
         )
+
+
+def test_vdim_assembled_is_its_definition():
+    """chi_S(restricted tangent) - chi_S(gauge), built from the public SuperScalar pieces."""
+    rng = random.Random(2026)
+    cases = [(ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])) for point in SWEEP]
+    for _ in range(700):
+        s = rng.randint(0, 4)
+        tau = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        phi_int = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if s else Fraction(0)
+        params = ModuliParams(rng.randint(0, 5), rng.randint(0, 5), 2 * rng.randint(0, 4))
+        cases.append((params, TargetSpec(rng.randint(1, 5), s, tau, phi_int)))
+    rational = [t for _, t in cases if t.tau.denominator > 1 or t.phi_int.denominator > 1]
+    assert len(rational) >= 500
+    for params, target in cases:
+        curve = SplitSupercurve.susy(params.g, params.n_rr)
+        expected = chi_super(curve, pullback_tangent(curve, target)) - chi_gauge(params)
+        assert vdim_assembled(params, target) == expected, (params, target)
 
 
 def test_alternate_odd_reading_breaks_identity_off_genus_one():
