@@ -328,13 +328,19 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]
 def lowest_terms(
     a: Sequence[int], b: Sequence[int], denominator: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Two integer vectors over denominator, divided by the gcd of all three."""
-    common = gcd(denominator, *a, *b)
+    """Two integer vectors over denominator, divided by the gcd of all three.
+
+    When b is a (a class equal at P = +1 and P = -1) it is reduced once
+    and both components share the one tuple.
+    """
+    same = b is a
+    common = gcd(denominator, *a) if same else gcd(denominator, *a, *b)
     if common != 1:
         a = [x // common for x in a]
-        b = [x // common for x in b]
+        b = a if same else [x // common for x in b]
         denominator //= common
-    return tuple(a), tuple(b), denominator
+    a = tuple(a)
+    return a, a if same else tuple(b), denominator
 
 
 def check_model(a, b) -> None:

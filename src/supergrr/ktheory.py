@@ -14,7 +14,7 @@ j multiplies by sigma_1(N*), the star product divides one copy back
 out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
 is the same closed form with the exponent negated and 2**-s in front
 (see superbundle), so no series inversion is needed.  Both classes are
-memoised per conormal bundle.
+built from one computed exponent and memoised per conormal bundle.
 
 A KClass is built from its character image, and normal data from exact
 degrees with NormalData.from_degrees; neither has a JSON form.
@@ -64,8 +64,9 @@ class KClass(Value):
 
 @lru_cache(maxsize=16)
 def _sigma1_classes(conormal: SuperBundle) -> tuple[GradedElement, GradedElement]:
-    """sigma_1(N*) and its inverse, shared by every call on the same conormal bundle."""
-    return conormal.sigma1(), conormal.sigma1_inverse()
+    """sigma_1(N*) and its inverse from one exponent, shared by calls on the same conormal bundle."""
+    exponent = conormal._sigma1_exponent()
+    return conormal._sigma1_from(exponent), conormal._sigma1_from(exponent, inverse=True)
 
 
 def sigma1_normal(nd: NormalData) -> GradedElement:

@@ -41,6 +41,12 @@ The rows tau, upsilon and upsilon' are the coefficients of the series
 logarithms of x / (1 - e**-x), (1 + e**-x) / 2 and (1 + e**x) / 2.  Each
 row is computed from its own defining series and cached per top degree,
 as integer numerators over a common denominator.
+
+Each kernel does its arithmetic once: ktheory builds sigma_1 and its
+inverse from one exponent; a class equal at P = +1 and P = -1 (td,
+sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
+components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
+and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
 """
 
 from __future__ import annotations
@@ -119,7 +125,11 @@ class SuperBundle(Value):
 
     def chern_character(self) -> GradedElement:
         """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
-        even, odd = _power_sums(self.model.top_degree, self.even, self.odd)
+        top = self.model.top_degree
+        if not self.odd:  # equal at P = +1 and P = -1
+            (even,) = _power_sums(top, self.even)
+            return _over_factorials(self.model, even, even, self.denominator)
+        even, odd = _power_sums(top, self.even, self.odd)
         return _over_factorials(
             self.model,
             [a - m for a, m in zip(even, odd)],
@@ -132,7 +142,7 @@ class SuperBundle(Value):
 
         c[k] is the coefficient of y**k = (x / D)**k.  Multiplying by 1 + n y
         runs k downwards; dividing by 1 + n y runs k upwards, each c[k]
-        taking the new c[k - 1].
+        taking the new c[k - 1].  Over D**top, c[k] y**k is c[k] D**(top-k) x**k.
         """
         top = self.model.top_degree
         c = [1] + [0] * top
@@ -142,9 +152,11 @@ class SuperBundle(Value):
         for n in self.odd:
             for k in range(1, top + 1):
                 c[k] -= n * c[k - 1]
-        c = [factorial(k) * x for k, x in enumerate(c)]
-        sign = (-1) ** len(self.odd)
-        return _over_factorials(self.model, c, [sign * x for x in c], self.denominator)
+        den = self.denominator
+        if den != 1:
+            c = [den ** (top - k) * x for k, x in enumerate(c)]
+        minus = [-x for x in c] if len(self.odd) % 2 else c
+        return GradedElement(self.model, *lowest_terms(c, minus, den**top))
 
     def c1(self) -> SuperScalar:
         return self.chern_total().coefficient(1)
@@ -160,23 +172,27 @@ class SuperBundle(Value):
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
-        scale = 2 ** len(self.odd)
-        return _scaled_exp(self.model, *self._sigma1_exponent(), scale=scale)
+        return self._sigma1_from(self._sigma1_exponent())
 
     def sigma1_inverse(self) -> GradedElement:
         """sigma1()**-1: the exponent negated, divided by 2**s."""
-        exponent, row_den, den = self._sigma1_exponent()
-        return _scaled_exp(
-            self.model, [-e for e in exponent], row_den, den, divisor=2 ** len(self.odd)
-        )
+        return self._sigma1_from(self._sigma1_exponent(), inverse=True)
 
-    def _sigma1_exponent(self) -> tuple[list[int], int, int]:
+    def _sigma1_exponent(self) -> list[int]:
+        """The exponent g of sigma1, over the denominator of _sigma1_row."""
         if self.even:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
         top = self.model.top_degree
         (odd,) = _power_sums(top, self.odd)
-        row_den, row = _sigma1_row(top)
-        return [u * m for u, m in zip(row, odd)], row_den, self.denominator
+        return [u * m for u, m in zip(_sigma1_row(top)[1], odd)]
+
+    def _sigma1_from(self, exponent: list[int], inverse: bool = False) -> GradedElement:
+        """2**s * exp(g) from the exponent g of sigma1, or 2**-s * exp(-g) when inverse."""
+        model, power, den = self.model, 2 ** len(self.odd), self.denominator
+        row_den = _sigma1_row(model.top_degree)[0]
+        if inverse:
+            return _scaled_exp(model, [-e for e in exponent], row_den, den, divisor=power)
+        return _scaled_exp(model, exponent, row_den, den, scale=power)
 
     # -- bundle operations ------------------------------------------------
 
@@ -287,19 +303,20 @@ def _over_factorials(
     model: ChowModel, plus: list[int], minus: list[int], den: int, divisor: int = 1
 ) -> GradedElement:
     """The element worth plus[k] / (divisor k! den**k) at P = +1 and minus[k] / (...) at P = -1."""
-    # weights[k] = top!/k! * den**(top-k) puts every degree over top! * den**top
+    weights = _factorial_weights(model.top_degree, den)
+    weighted = [w * x for w, x in zip(weights, plus)]
+    other = weighted if minus is plus else [w * x for w, x in zip(weights, minus)]
+    return GradedElement(model, *lowest_terms(weighted, other, weights[0] * divisor))
+
+
+@lru_cache(maxsize=64)
+def _factorial_weights(top: int, den: int) -> tuple[int, ...]:
+    """weights[k] = top!/k! * den**(top-k), which puts every degree over top! * den**top."""
     weights = [1]
-    for k in range(model.top_degree, 0, -1):
+    for k in range(top, 0, -1):
         weights.append(weights[-1] * k * den)
     weights.reverse()
-    return GradedElement(
-        model,
-        *lowest_terms(
-            [w * x for w, x in zip(weights, plus)],
-            [w * x for w, x in zip(weights, minus)],
-            weights[0] * divisor,
-        ),
-    )
+    return tuple(weights)
 
 
 def _scaled_exp(
@@ -326,7 +343,7 @@ def _scaled_exp(
     for j in range(1, len(exponent)):
         weighted.append(j * exponent[j] * power)
         power *= row_den
-    series = [1]
+    series = [scale]  # the recurrence is linear, so F_0 = scale scales every F_k
     for k in range(1, len(exponent)):
         total = 0
         falling = 1  # (k-1)!/(k-j)!
@@ -334,7 +351,6 @@ def _scaled_exp(
             total += weighted[j] * series[k - j] * falling
             falling *= k - j
         series.append(total)
-    series = [scale * f for f in series]
     return _over_factorials(model, series, series, row_den * den, divisor)
 
 

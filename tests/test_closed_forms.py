@@ -5,6 +5,7 @@ Chern roots of GradedElement series (exp_nilpotent, series_invert and
 ring_mul), so it shares no arithmetic with the closed forms it checks.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -27,6 +28,7 @@ from supergrr import (
     sigma1_normal,
     star_product,
 )
+from supergrr.ktheory import _sigma1_classes
 
 MODELS = (
     [ChowModel.point()]
@@ -203,3 +205,60 @@ def test_normal_data_is_hashable():
     nd = NormalData.from_degrees(model, [1, "-1/2"])
     assert nd == NormalData.from_degrees(model, [Fraction(1), Fraction(-1, 2)])
     assert len({nd, NormalData.from_degrees(model, [1, "-1/2"])}) == 1
+
+
+# -- each kernel's shortcuts leave its classes as the ordinary route builds them ------
+
+
+def fields(x):
+    return x.plus, x.minus, x.denominator
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+@pytest.mark.parametrize("rank", range(5))
+@pytest.mark.parametrize("form", ["int", "p/q"])
+def test_sigma1_pair_is_sigma1_and_its_inverse(model, rank, form):
+    """ktheory's pair, built from one exponent, equals the two methods field for field.
+
+    The product alone cannot tell 2**s exp(g) from 2**-s exp(g), so
+    sigma_1 is also held to the per-root oracle.
+    """
+    rng = random.Random(f"sigma1 pair {model} {rank} {form}")
+    for _ in range(3):
+        degs = degrees(rng, model, rank, form == "p/q")
+        if form == "p/q":
+            degs = [f"{Fraction(d).numerator}/{Fraction(d).denominator}" for d in degs]
+        conormal = SuperBundle.from_degrees(model, (), degs)
+        sigma1, inverse = _sigma1_classes(conormal)
+        assert fields(sigma1) == fields(conormal.sigma1()), conormal
+        assert fields(inverse) == fields(conormal.sigma1_inverse()), conormal
+        assert sigma1 == oracle_sigma1(conormal), conormal
+        assert sigma1.ring_mul(inverse) == GradedElement.one(model), conormal
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_classes_keep_the_canonical_form(model):
+    """td, sigma_1, its inverse, c (over D > 1) and a bosonic ch are what from_coeffs builds.
+
+    Those equal at P = +1 and P = -1 share one tuple between their
+    components; that must not tell them apart from two equal tuples.
+    """
+    rng = random.Random(f"canonical {model}")
+    for fractional in (False, True):
+        for _ in range(3):
+            odd_degs = degrees(rng, model, rng.randint(0, 3), fractional)
+            if fractional and model.top_degree:
+                odd_degs.append(Fraction(2 * rng.randint(-30, 30) + 1, 2))  # so that D > 1
+            bundle = SuperBundle.from_degrees(
+                model, degrees(rng, model, rng.randint(0, 4), fractional), odd_degs
+            )
+            odd = SuperBundle.from_degrees(model, (), bundle.odd_degs)
+            even = SuperBundle.from_degrees(model, bundle.even_degs)
+            classes = [bundle.todd(), odd.sigma1(), odd.sigma1_inverse(), bundle.chern_total()]
+            classes += [even.chern_character(), even.chern_total()]
+            for x in classes:
+                ordinary = GradedElement.from_coeffs(model, x.coeffs)
+                assert x == ordinary and hash(x) == hash(ordinary), bundle
+                assert fields(x) == fields(ordinary) and repr(x) == repr(ordinary), bundle
+                assert pickle.loads(pickle.dumps(x)) == ordinary, bundle
+                assert len({x, ordinary}) == 1, bundle

@@ -16,6 +16,7 @@ from supergrr import (
     SuperScalar,
     pi_power,
 )
+from supergrr.superbundle import _factorial_weights
 
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
@@ -251,6 +252,18 @@ def test_todd_multiplicative():
         model = rng.choice([C0, C2, ChowModel.proj_space(2)])
         E, F = random_bundle(rng, model), random_bundle(rng, model)
         assert E.direct_sum(F).todd() == E.todd().ring_mul(F.todd())
+
+
+def test_factorial_weights_cache_is_bounded():
+    # the denominator comes from outside the program, so the weight cache must not grow with it
+    model = ChowModel.proj_space(2)
+    for q in range(1, 301):
+        bundle = SuperBundle.from_degrees(model, [Fraction(1, q)])
+        assert bundle.chern_character() == elt(model, 1, Fraction(1, q), Fraction(1, 2 * q * q))
+    info = _factorial_weights.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert _factorial_weights(3, 7) == (6 * 7**3, 6 * 7**2, 3 * 7, 1)
+    assert type(_factorial_weights(3, 7)) is tuple
 
 
 def test_todd_equals_sigma1_of_dual_on_purely_odd():
