@@ -51,10 +51,6 @@ CSV_COLUMNS = [
 ]
 
 
-# the value of each target flag left out, applied only to the keys the --target kind reads
-_TARGET_DEFAULTS = {"r": 1, "s": 0, "d": 0, "tau": 0, "phi_int": 0}
-
-
 class CliError(Exception):
     """Validation failure; reported on stderr with exit code 1."""
 
@@ -75,11 +71,8 @@ def build_parser() -> _Parser:
     vdim = sub.add_parser("vdim", help="virtual dimension of the supermap moduli")
     vdim.add_argument("--target", choices=list(TARGET_KEYS), default="psuper")
     # a target flag is in args only when given, so one the kind does not read can be refused
-    vdim.add_argument("--r", type=_int, default=argparse.SUPPRESS)
-    vdim.add_argument("--s", type=_int, default=argparse.SUPPRESS)
-    vdim.add_argument("--d", type=_int, default=argparse.SUPPRESS)
-    vdim.add_argument("--tau", type=_rational, default=argparse.SUPPRESS)
-    vdim.add_argument("--phi-int", type=_rational, default=argparse.SUPPRESS)
+    for key, (reader, _) in _TARGET_FLAGS.items():
+        vdim.add_argument("--" + key.replace("_", "-"), type=reader, default=argparse.SUPPRESS)
     vdim.add_argument("--g", type=_int, default=0, help="genus")
     vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
     vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
@@ -155,6 +148,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# each vdim target flag's reader and its value when left out, for the keys the --target kind reads
+_TARGET_FLAGS = {
+    "r": (_int, 1), "s": (_int, 0), "d": (_int, 0),
+    "tau": (_rational, 0), "phi_int": (_rational, 0),
+}
+
+
 _RANGE_CHUNK = re.compile(rf"({INT_TEXT})(?:\.\.({INT_TEXT}))?")
 
 
@@ -177,11 +177,11 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
 
 def _cmd_vdim(args) -> int:
     given, keys = vars(args), TARGET_KEYS[args.target]
-    for key in _TARGET_DEFAULTS:
+    for key in _TARGET_FLAGS:
         if key in given and key not in keys:
             flag = key.replace("_", "-")
             raise CliError(f"argument --{flag}: --target {args.target} does not read it")
-    target = {key: given.get(key, _TARGET_DEFAULTS[key]) for key in keys}
+    target = {key: given.get(key, _TARGET_FLAGS[key][1]) for key in keys}
     request = {
         "params": {"g": args.g, "n_ns": args.ns, "n_rr": args.rr},
         "target": {"kind": args.target, **target},

@@ -13,8 +13,8 @@ has invertible leading coefficient 2**s and twists everything: the map
 j multiplies by sigma_1(N*), the star product divides one copy back
 out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
 is the same closed form with the exponent negated and 2**-s in front
-(see superbundle), so no series inversion is needed.  Both classes are
-built from one computed exponent and memoised per conormal bundle.
+(see superbundle), so no series inversion is needed.  The memo here
+wraps SuperBundle.sigma1_pair, which builds both from one exponent.
 
 A KClass is built from its character image, and normal data from exact
 degrees with NormalData.from_degrees; neither has a JSON form.
@@ -62,11 +62,8 @@ class KClass(Value):
         return KClass(self.ch_image.ring_mul(other.ch_image))
 
 
-@lru_cache(maxsize=16)
-def _sigma1_classes(conormal: SuperBundle) -> tuple[GradedElement, GradedElement]:
-    """sigma_1(N*) and its inverse from one exponent, shared by calls on the same conormal bundle."""
-    exponent = conormal._sigma1_exponent()
-    return conormal._sigma1_from(exponent), conormal._sigma1_from(exponent, inverse=True)
+# sigma_1(N*) and its inverse, shared by calls on the same conormal bundle
+_sigma1_classes = lru_cache(maxsize=16)(SuperBundle.sigma1_pair)
 
 
 def sigma1_normal(nd: NormalData) -> GradedElement:

@@ -54,13 +54,13 @@ def random_model(rng: random.Random) -> ChowModel:
     return ChowModel.proj_space(rng.randint(1, 3))
 
 
-def random_bundle(rng: random.Random, model: ChowModel, max_rank: int = 3) -> SuperBundle:
-    def degs(n: int):
-        return [rng.randint(-5, 5) for _ in range(n)]
+def _degrees(rng: random.Random, most: int) -> list[int]:
+    """Up to most degrees in -5..5, the count drawn before the degrees."""
+    return [rng.randint(-5, 5) for _ in range(rng.randint(0, most))]
 
-    return SuperBundle.from_degrees(
-        model, degs(rng.randint(0, max_rank)), degs(rng.randint(0, max_rank))
-    )
+
+def random_bundle(rng: random.Random, model: ChowModel, max_rank: int = 3) -> SuperBundle:
+    return SuperBundle.from_degrees(model, _degrees(rng, max_rank), _degrees(rng, max_rank))
 
 
 def random_element(rng: random.Random, model: ChowModel) -> GradedElement:
@@ -76,8 +76,7 @@ def random_element(rng: random.Random, model: ChowModel) -> GradedElement:
 
 
 def random_normal_data(rng: random.Random, model: ChowModel) -> NormalData:
-    degs = [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
-    return NormalData.from_degrees(model, degs)
+    return NormalData.from_degrees(model, _degrees(rng, 2))
 
 
 def random_supercurve_instance(rng: random.Random) -> tuple[SplitSupercurve, SuperBundle]:
@@ -116,15 +115,14 @@ def minimal_failure(results: list[SuiteResult]) -> str | None:
 # -- one case of each suite ---------------------------------------------------
 
 
-def _whitney(rng):
-    """Total Chern class is multiplicative on direct sums."""
+def _multiplicativity(method: str, symbol: str, rng):
+    """SuperBundle.<method>, written symbol and looked up per case, is multiplicative on sums."""
     model = random_model(rng)
     e = random_bundle(rng, model)
     f = random_bundle(rng, model)
-    lhs = e.direct_sum(f).chern_total()
-    rhs = e.chern_total().ring_mul(f.chern_total())
-    if lhs != rhs:
-        return _size(model, e, f), f"c({e} + {f}) != c.c"
+    total, left, right = [getattr(b, method)() for b in (e.direct_sum(f), e, f)]
+    if total != left.ring_mul(right):
+        return _size(model, e, f), f"{symbol}({e} + {f}) != {symbol}.{symbol}"
     return None
 
 
@@ -160,22 +158,10 @@ def _parity_rules(rng):
     return None
 
 
-def _todd_multiplicativity(rng):
-    """td is multiplicative on direct sums."""
-    model = random_model(rng)
-    e = random_bundle(rng, model)
-    f = random_bundle(rng, model)
-    if e.direct_sum(f).todd() != e.todd().ring_mul(f.todd()):
-        return _size(model, e, f), f"td({e} + {f}) != td.td"
-    return None
-
-
 def _todd_sigma1_duality(rng):
     """On purely odd bundles, td(E) equals the sigma_1 class of the dual."""
     model = random_model(rng)
-    e = SuperBundle.from_degrees(
-        model, (), [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
-    )
+    e = SuperBundle.from_degrees(model, (), _degrees(rng, 3))
     if e.todd() != e.dual().sigma1():
         return _size(model, e), f"td != sigma1(dual) on {e}"
     return None
@@ -231,10 +217,10 @@ def _sgrr(rng):
 IDENTITY_SUITES = {
     name: partial(_run, name, one_case=one_case)
     for name, one_case in (
-        ("whitney", _whitney),
+        ("whitney", partial(_multiplicativity, "chern_total", "c")),
         ("tensor-character", _tensor_character),
         ("parity-rules", _parity_rules),
-        ("todd-multiplicativity", _todd_multiplicativity),
+        ("todd-multiplicativity", partial(_multiplicativity, "todd", "td")),
         ("todd-sigma1-duality", _todd_sigma1_duality),
         ("star-ring", _star_ring),
         ("twisted-character", _twisted_character),

@@ -42,8 +42,8 @@ logarithms of x / (1 - e**-x), (1 + e**-x) / 2 and (1 + e**x) / 2.  Each
 row is computed from its own defining series and cached per top degree,
 as integer numerators over a common denominator.
 
-Each kernel does its arithmetic once: ktheory builds sigma_1 and its
-inverse from one exponent; a class equal at P = +1 and P = -1 (td,
+Each kernel does its arithmetic once: sigma1_pair builds sigma_1 and
+its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
 sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
 components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
 and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
@@ -174,9 +174,10 @@ class SuperBundle(Value):
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
         return self._sigma1_from(self._sigma1_exponent())
 
-    def sigma1_inverse(self) -> GradedElement:
-        """sigma1()**-1: the exponent negated, divided by 2**s."""
-        return self._sigma1_from(self._sigma1_exponent(), inverse=True)
+    def sigma1_pair(self) -> tuple[GradedElement, GradedElement]:
+        """sigma1() = 2**s * exp(g) and its inverse 2**-s * exp(-g), from one exponent g."""
+        exponent = self._sigma1_exponent()
+        return self._sigma1_from(exponent), self._sigma1_from(exponent, inverse=True)
 
     def _sigma1_exponent(self) -> list[int]:
         """The exponent g of sigma1, over the denominator of _sigma1_row."""

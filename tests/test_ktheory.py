@@ -17,6 +17,7 @@ from supergrr import (
     star_identity,
     star_product,
 )
+from supergrr.ktheory import _sigma1_classes
 
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
@@ -204,3 +205,12 @@ def test_embedding_pushforward_two_routes():
         assert via_sigma == via_todd
         # the normal-bundle Todd class is itself the sigma_1 class
         assert todd_of_normal == sigma1_normal(nd)
+
+
+def test_sigma1_cache_is_bounded():
+    # conormal degrees come from outside the program, so the sigma_1 memo must not grow with them
+    for q in range(1, 101):
+        nd = NormalData.from_degrees(P2, [Fraction(1, q)])
+        assert sigma1_normal(nd) == nd.conormal.sigma1()
+    info = _sigma1_classes.cache_info()
+    assert info.maxsize is not None and info.currsize <= 16

@@ -1,8 +1,11 @@
 """The suite runner: one case loop, failure sizes, and the minimal-counterexample rule."""
 
+import hashlib
 import random
 
-from supergrr import ktheory, suites
+import pytest
+
+from supergrr import SuperBundle, ktheory, suites
 from supergrr.suites import SuiteResult, minimal_failure
 
 
@@ -61,3 +64,79 @@ def test_kclass_size_counts_the_conormal_bundle(monkeypatch):
     assert len(result.failures) == 12
     assert [size for size, _ in result.failures] == expected
     assert expected != tops  # the seed draws a nonzero conormal bundle
+
+
+# -- what a seed draws --------------------------------------------------------------
+
+
+class LoggingRandom(random.Random):
+    """random.Random that logs each randint and random call with its arguments and result.
+
+    A subclass that defines random() would otherwise draw integers without
+    getrandbits, so _randbelow is pinned to the inherited one: the logged
+    sequence is the one random.Random draws.
+    """
+
+    _randbelow = random.Random._randbelow
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def randint(self, a, b):
+        value = super().randint(a, b)
+        self.log.append(f"randint({a}, {b}) = {value}")
+        return value
+
+    def random(self):
+        value = super().random()
+        self.log.append(f"random() = {value!r}")
+        return value
+
+
+CASES = {name: run.keywords["one_case"] for name, run in suites.IDENTITY_SUITES.items()}
+CASES["sgrr"] = suites._sgrr
+
+# sha256 of each case function's draw log over 100 cases from seed 7
+DRAW_DIGESTS = {
+    "whitney": "4cc586d4be02db971a238692ea549ece19ecc98e03c1363ba8ebd13f369fbef3",
+    "tensor-character": "fd97287f7483c04c30476584782902c7a76c7691dba0c73773c50c748ca474f0",
+    "parity-rules": "e83568a94b7a6c170cd03fd863e6c7935f4e45d6c33ba80d5a1a29ff8ae2b247",
+    "todd-multiplicativity": "4cc586d4be02db971a238692ea549ece19ecc98e03c1363ba8ebd13f369fbef3",
+    "todd-sigma1-duality": "7003afd778d5f7342d57b209a666251d8bc5aa183f387f4d07fcbc52c1175b32",
+    "star-ring": "3a5846cbc0059c846db8d11877ae21417c1e354ba5370bbfcd46fac1b6e95ed0",
+    "twisted-character": "3a5846cbc0059c846db8d11877ae21417c1e354ba5370bbfcd46fac1b6e95ed0",
+    "sgrr": "c9a09d0737024a1015ed5b66acc38d659f20f1e88b004daf8dc80fed962d56ef",
+}
+
+
+@pytest.mark.parametrize("name", DRAW_DIGESTS)
+def test_a_seed_draws_the_pinned_cases(name):
+    """Passing runs print only counts, so the cases a seed draws are pinned here."""
+    rng, plain = LoggingRandom(7), random.Random(7)
+    for _ in range(100):
+        assert CASES[name](rng) is None
+        CASES[name](plain)
+    assert rng.getstate() == plain.getstate()
+    digest = hashlib.sha256("\n".join(rng.log).encode()).hexdigest()
+    assert digest == DRAW_DIGESTS[name], digest
+
+
+# -- the two multiplicativity suites share one case ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "method, broken, kept, symbol",
+    [
+        ("chern_total", "whitney", "todd-multiplicativity", "c"),
+        ("todd", "todd-multiplicativity", "whitney", "td"),
+    ],
+)
+def test_multiplicativity_case_sees_a_patched_class(monkeypatch, method, broken, kept, symbol):
+    """Each suite looks its class up on the bundle as the case runs, so a class patch applies."""
+    # ch is additive on sums, not multiplicative, so the suite that reads the patch fails
+    monkeypatch.setattr(SuperBundle, method, SuperBundle.chern_character)
+    result = suites.IDENTITY_SUITES[broken](3, 40)
+    assert result.failures
+    assert all(text.endswith(f" != {symbol}.{symbol}") for _, text in result.failures)
+    assert suites.IDENTITY_SUITES[kept](3, 40).ok
