@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import supergrr
 from supergrr.cli import CSV_COLUMNS, _parse_range, build_parser, main
 from supergrr.grr import parse_ramond_count
 from supergrr.modulidim import TARGET_KEYS
@@ -81,6 +83,13 @@ def test_vdim_reads_fraction_flags(capsys):
     )
     assert code == 0
     assert json.loads(out)["target"]["tau"] == "7/2"
+    # the assembled route agrees with the closed formula on rational custom data
+    code, out, _ = run_cli(
+        capsys, "vdim", "--target", "custom", "--r", "2", "--s", "1",
+        "--tau", "7/3", "--phi-int=-5/2", "--g", "2", "--rr", "2",
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["53/6 - (53/6)*P", "consistency: True"]
 
 
 def test_vdim_json_only(capsys):
@@ -176,6 +185,13 @@ def test_vdim_rejects_bad_flags(capsys):
     code, _, err = run_cli(capsys, "vdim", "--target", "psuper", "--r", "0", "--d", "1")
     assert code == 1
     assert "error" in err
+    # custom tangent data that no target realizes
+    code, out, err = run_cli(capsys, "vdim", "--target", "custom", "--r", "0", "--s", "1")
+    assert (code, out, err) == (1, "", "error: cannot realize tangent data of rank 0|1\n")
+    code, out, err = run_cli(
+        capsys, "vdim", "--target", "custom", "--r", "0", "--s", "0", "--tau", "1"
+    )
+    assert (code, out, err) == (1, "", "error: rank 0|0 target cannot carry nonzero degree data\n")
 
 
 PSUPER_REFUSALS = [
@@ -275,6 +291,14 @@ def test_integer_flags_read_only_ascii_digits(capsys, argv, flag, value):
     code, out, err = run_cli(capsys, *argv, flag, value)
     assert (code, out) == (1, "")
     assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+
+
+def test_integer_flag_past_the_digit_limit_is_refused(capsys):
+    # int() raises ValueError past the interpreter's limit on digits in a conversion
+    code, out, err = run_cli(capsys, "vdim", "--g", "1" * 5000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --g: invalid int value: '1111")
+    assert err.count("\n") == 1
 
 
 def test_integer_flags_keep_signs_and_leading_zeros(capsys):
@@ -378,8 +402,9 @@ def test_chi_rejects_odd_rr(capsys):
 
 def test_chi_rejects_mismatched_model(capsys):
     bundle = json.dumps({"model": {"kind": "curve", "genus": 3}, "even_degs": [1]})
-    code, _, err = run_cli(capsys, "chi", "--g", "0", "--bundle", bundle)
+    code, out, err = run_cli(capsys, "chi", "--g", "0", "--bundle", bundle)
     assert code == 1
+    assert (out, err) == ("", "error: bundle model curve(g=3) does not match curve curve(g=0)\n")
 
 
 @pytest.mark.parametrize(
@@ -387,11 +412,12 @@ def test_chi_rejects_mismatched_model(capsys):
     [
         '{"even_degs": "12"}',
         '{"even_degs": [0.1]}',
+        '{"even_degs": [1.0]}',
         '{"even_degs": [true]}',
         '{"even_degs": [null]}',
         '{"even_degs": ["1/0"]}',
     ],
-    ids=["string-list", "float", "bool", "null", "zero-denominator"],
+    ids=["string-list", "float", "integral-float", "bool", "null", "zero-denominator"],
 )
 def test_chi_rejects_inexact_degrees(capsys, bundle):
     code, out, err = run_cli(capsys, "chi", "--g", "1", "--bundle", bundle)
@@ -436,6 +462,19 @@ def test_chi_accepts_fraction_strings(capsys):
     assert json.loads("\n".join(out.splitlines()[1:]))["match"] is True
 
 
+def test_chi_reports_an_identity_failure(capsys, monkeypatch):
+    from supergrr import SuperScalar, cli
+
+    # an oracle that disagrees with the integral route
+    monkeypatch.setattr(cli, "rr_oracle", lambda curve, bundle: SuperScalar(99))
+    code, out, err = run_cli(
+        capsys, "chi", "--g", "2", "--rr", "0", "--bundle", '{"even_degs": [0], "odd_degs": []}'
+    )
+    assert code == 2
+    assert '"match": false' in out
+    assert err == "identity failure: chi -1 != oracle 99\n"
+
+
 # -- grr-check ----------------------------------------------------------------------
 
 
@@ -444,6 +483,7 @@ def test_grr_check_documented_example(capsys):
     assert code == 0
     assert "seed=42" in out
     assert "passed=1000" in out and "failed=0" in out
+    assert out.splitlines()[0] == "grr-check: seed=42 cases=1000 passed=1000 failed=0"
 
 
 def test_grr_check_failure_reporting(capsys, monkeypatch):
@@ -540,6 +580,7 @@ def test_identities(capsys):
     code, out, _ = run_cli(capsys, "identities", "--seed", "7", "--cases", "40")
     assert code == 0
     assert "seed=7" in out
+    assert out.splitlines()[0] == "identities: seed=7 cases-per-suite=40"
     for name in [
         "whitney",
         "tensor-character",
@@ -705,6 +746,21 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["closed"] == {"body": "4", "soul": "-2"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergrr", "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: supergrr ")
+
+
+def test_child_processes_import_the_tested_package():
+    # every subprocess test inherits this environment, so it checks this same copy
+    proc = subprocess.run(
+        [sys.executable, "-c", "import supergrr; print(supergrr.__file__)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve() == Path(supergrr.__file__).resolve()
 
 
 # The console script and python -m supergrr both end in entrypoint, which freezes

@@ -5,6 +5,9 @@ so they must stay out of the import graph of the package and its CLI.
 Nor does importing the CLI load what only some subcommands use: `csv`
 (table), the suites and `random` (grr-check, identities), or `typing`
 and `pathlib`, which nothing needs.
+
+The children import the same copy of the package as the tests, from the
+checkout's `src` or from an installed copy alike.
 """
 
 import os
@@ -14,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import supergrr
+
+SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
 UNUSED_AT_IMPORT = ("typing", "pathlib", "csv", "random", "supergrr.suites")
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from supergrr import SuperBundle, ktheory, suites
+from supergrr import GradedElement, SuperBundle, ktheory, pi_power, suites
+from supergrr.ktheory import KClass
 from supergrr.suites import SuiteResult, minimal_failure
 
 
@@ -140,3 +141,70 @@ def test_multiplicativity_case_sees_a_patched_class(monkeypatch, method, broken,
     assert result.failures
     assert all(text.endswith(f" != {symbol}.{symbol}") for _, text in result.failures)
     assert suites.IDENTITY_SUITES[kept](3, 40).ok
+
+
+# -- each identity's failure text ------------------------------------------------------
+
+
+def _sorting_pi_shift(bundle):
+    """The parity shift with each root list sorted: ch and c1 see the same roots."""
+    even, odd = tuple(sorted(bundle.even)), tuple(sorted(bundle.odd))
+    return SuperBundle(bundle.model, odd, even, bundle.denominator)
+
+
+E, F = "bundle[curve(g=0); even=(-4); odd=(2)]", "bundle[curve(g=0); even=(5); odd=(-2)]"
+PARITY = "bundle[curve(g=0); even=(-4,2); odd=(2,5,1)]"
+CONORMAL = (
+    "NormalData(conormal=SuperBundle(model=ChowModel(kind='curve', genus=0, dim=0), "
+    "even=(), odd=(-4,), denominator=1))"
+)
+
+# each patch breaks the one identity its text names and keeps every earlier
+# check of the case: suite, (owner, attribute, patch), size and text of case 0 at seed 1
+BROKEN_IDENTITIES = {
+    "tensor": (
+        "tensor-character", (SuperBundle, "tensor", SuperBundle.direct_sum),
+        18, f"ch({E} x {F}) != ch.ch",
+    ),
+    "sum": (
+        "tensor-character", (SuperBundle, "direct_sum", SuperBundle.tensor),
+        18, f"ch({E} + {F}) != ch + ch",
+    ),
+    "ch-shift": (
+        "parity-rules", (SuperBundle, "pi_shift", lambda bundle: bundle),
+        20, f"ch(P.{PARITY}) != -P ch",
+    ),
+    "c1-shift": (
+        "parity-rules", (suites, "pi_power", lambda n: pi_power(n + 1)),
+        20, f"c1 parity rule fails on {PARITY}",
+    ),
+    "involution": (
+        "parity-rules", (SuperBundle, "pi_shift", _sorting_pi_shift),
+        20, f"parity shift not involutive on {PARITY}",
+    ),
+    "c1-dual": (
+        "parity-rules", (SuperBundle, "dual", lambda bundle: bundle),
+        23, "c1 duality fails on bundle[curve(g=0); even=(); odd=(-2)]",
+    ),
+    "td-dual": (
+        "todd-sigma1-duality", (SuperBundle, "dual", lambda bundle: bundle),
+        9, "td != sigma1(dual) on bundle[curve(g=0); even=(); odd=(-4,2)]",
+    ),
+    "star-unit": (
+        "star-ring",
+        (ktheory, "star_identity", lambda nd: KClass(GradedElement.one(nd.conormal.model))),
+        6, f"sigma_1 is not a star unit over {CONORMAL}",
+    ),
+    "j-split": (
+        "twisted-character", (ktheory, "j_map", lambda x, nd: x),
+        6, f"ch_S(j(x)) != ch(x) over {CONORMAL}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_IDENTITIES)
+def test_a_broken_identity_prints_its_text_and_size(monkeypatch, name):
+    suite, (owner, attribute, patch), size, text = BROKEN_IDENTITIES[name]
+    monkeypatch.setattr(owner, attribute, patch)
+    result = suites.IDENTITY_SUITES[suite](1, 1)
+    assert result.failures == ((size, f"case 0 (size {size}): {text}"),)

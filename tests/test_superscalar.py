@@ -93,6 +93,7 @@ def test_invert_is_involutive(x):
 
 def test_ring_axioms_bulk():
     """Deterministic sweep of the ring axioms, at least 10**4 cases."""
+    assert not ZERO
     rng = random.Random(20240915)
 
     def draw():
@@ -108,6 +109,9 @@ def test_ring_axioms_bulk():
         assert x * (y + z) == x * y + x * z
         assert (x + y) + z == x + (y + z)
         assert x + ZERO == x and x * ONE == x
+        assert bool(x) == (x != ZERO)
+        for n in (z.body.numerator, z.body):  # an int and a Fraction on the left
+            assert n - x == -(x - n)
         if x.body**2 != x.soul**2:
             inv = x.invert()
             assert x * inv == ONE
