@@ -47,6 +47,10 @@ its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
 sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
 components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
 and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
+The power sums take one pass per root on P^r, adding n, n**2, .., n**top
+into one list, in place of one list of powers per degree.  A point or a
+curve (top <= 1) keeps the count and one sum: there the per-root loop
+would cost twice the C-level sum it replaces, on the calculator's hot path.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from functools import lru_cache
 from math import factorial
 
 from .chowring import ChowModel, GradedElement, align, common_denominator, lowest_terms
-from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field
+from .superscalar import SuperScalar, Value, check_keys, parse_rational
 
 Numerators = tuple[int, ...]
 
@@ -80,10 +84,11 @@ class SuperBundle(Value):
     def __init__(
         self, model: ChowModel, even: Numerators, odd: Numerators, denominator: int
     ) -> None:
-        set_field(self, "model", model)
-        set_field(self, "even", even)
-        set_field(self, "odd", odd)
-        set_field(self, "denominator", denominator)
+        set_model, set_even, set_odd, set_denominator = self._setters
+        set_model(self, model)
+        set_even(self, even)
+        set_odd(self, odd)
+        set_denominator(self, denominator)
 
     # -- constructors --------------------------------------------------
 
@@ -290,12 +295,15 @@ def _power_sums(top: int, *numerator_lists: Numerators) -> list[list[int]]:
     """
     out = []
     for numerators in numerator_lists:
-        sums = [len(numerators)]
-        powers = numerators
-        for k in range(1, top + 1):
-            sums.append(sum(powers))
-            if k < top:
-                powers = [p * n for p, n in zip(powers, numerators)]
+        if top < 2:  # a point or a curve: the count and one C-level sum
+            out.append([len(numerators), sum(numerators)] if top else [len(numerators)])
+            continue
+        sums = [len(numerators)] + [0] * top
+        for n in numerators:
+            power = 1
+            for k in range(1, top + 1):
+                power *= n
+                sums[k] += power
         out.append(sums)
     return out
 

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from supergrr import (
     ChowModel,
@@ -16,7 +18,7 @@ from supergrr import (
     SuperScalar,
     pi_power,
 )
-from supergrr.superbundle import _factorial_weights
+from supergrr.superbundle import _factorial_weights, _power_sums
 
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
@@ -264,6 +266,23 @@ def test_factorial_weights_cache_is_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
     assert _factorial_weights(3, 7) == (6 * 7**3, 6 * 7**2, 3 * 7, 1)
     assert type(_factorial_weights(3, 7)) is tuple
+
+
+NUMERATORS = st.lists(
+    st.one_of(st.integers(-60, 60), st.integers(-(2**60), 2**60)), max_size=6
+).map(tuple)
+
+
+@given(st.integers(0, 8), st.lists(NUMERATORS, min_size=1, max_size=3))
+@example(0, [(), (5,)])
+@example(1, [(), (-(2**60),), (3, -7)])
+@example(2, [(), (-1,)])
+@example(8, [(2**60 - 1,), (), (-3, 4, -5)])
+def test_power_sums_are_their_definition(top, lists):
+    # both branches, top <= 1 (a point or a curve) and top >= 2 (P^r), give top + 1 sums per list
+    assert _power_sums(top, *lists) == [
+        [sum(n**k for n in numerators) for k in range(top + 1)] for numerators in lists
+    ]
 
 
 def test_todd_equals_sigma1_of_dual_on_purely_odd():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import supergrr
 from supergrr import (
     ChowModel,
     GradedElement,
@@ -17,6 +18,7 @@ from supergrr import (
     SuperScalar,
     TargetSpec,
 )
+from supergrr.superscalar import Value
 from supergrr.suites import SuiteResult
 
 CURVE1 = ChowModel.curve(1)
@@ -73,6 +75,27 @@ FROZEN = {
 def frozen(request):
     build, text = FROZEN[request.param]
     return build, text
+
+
+def _value_types(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+def test_every_record_sets_its_slots_through_the_slot_descriptors():
+    # every Value subclass that supergrr and supergrr.suites define has a FROZEN builder
+    types = {cls for cls in _value_types() if cls.__module__.startswith(supergrr.__name__)}
+    assert types == {type(build()) for build, _ in FROZEN.values()}
+    for cls in types:
+        assert len(cls._setters) == len(cls.__slots__)
+        for setter, slot in zip(cls._setters, cls.__slots__):
+            # each read of __set__ makes a new bound wrapper; == compares its slot and method
+            assert setter == cls.__dict__[slot].__set__
+    for build, _ in FROZEN.values():
+        value = build()
+        for slot in type(value).__slots__:
+            getattr(value, slot)  # AttributeError for a slot __init__ left unset
 
 
 def test_repr_is_the_field_listing(frozen):
