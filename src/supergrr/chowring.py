@@ -47,6 +47,7 @@ from .superscalar import (
     coerce,
     parse_int,
     require_key,
+    set_field,
 )
 
 
@@ -85,10 +86,9 @@ class ChowModel(Value):
             raise ValueError(f"a {kind} model has no dim, got {dim}")
         if genus and kind != "curve":
             raise ValueError(f"a {kind} model has no genus, got {genus}")
-        set_kind, set_genus, set_dim = self._setters
-        set_kind(self, kind)
-        set_genus(self, genus)
-        set_dim(self, dim)
+        set_field(self, "kind", kind)
+        set_field(self, "genus", genus)
+        set_field(self, "dim", dim)
 
     @staticmethod
     def point() -> "ChowModel":
@@ -158,11 +158,10 @@ class GradedElement(Value):
     def __init__(
         self, model: ChowModel, plus: tuple[int, ...], minus: tuple[int, ...], denominator: int
     ) -> None:
-        set_model, set_plus, set_minus, set_denominator = self._setters
-        set_model(self, model)
-        set_plus(self, plus)
-        set_minus(self, minus)
-        set_denominator(self, denominator)
+        set_field(self, "model", model)
+        set_field(self, "plus", plus)
+        set_field(self, "minus", minus)
+        set_field(self, "denominator", denominator)
 
     # -- constructors ---------------------------------------------------
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, _pairing, _scalar, _shared_model, check_model
 from .superbundle import SuperBundle
-from .superscalar import SuperScalar, Value, parse_int
+from .superscalar import SuperScalar, Value, parse_int, set_field
 
 
 @lru_cache(maxsize=64)
@@ -66,9 +66,8 @@ class SplitSupercurve(Value):
         genus = parse_int(genus, "genus")
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        set_genus, set_deg_l = self._setters
-        set_genus(self, genus)
-        set_deg_l(self, parse_int(deg_l, "deg_l"))
+        set_field(self, "genus", genus)
+        set_field(self, "deg_l", parse_int(deg_l, "deg_l"))
 
     @staticmethod
     def susy(genus: int, n_rr: int = 0) -> "SplitSupercurve":

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement
 from .superbundle import SuperBundle
-from .superscalar import Value
+from .superscalar import Value, set_field
 
 
 class NormalData(Value):
@@ -41,8 +41,7 @@ class NormalData(Value):
     __slots__ = ("conormal",)
 
     def __init__(self, conormal: SuperBundle) -> None:
-        (set_conormal,) = self._setters
-        set_conormal(self, conormal)
+        set_field(self, "conormal", conormal)
 
     @classmethod
     def from_degrees(cls, model: ChowModel, degrees) -> "NormalData":
@@ -56,8 +55,7 @@ class KClass(Value):
     __slots__ = ("ch_image",)
 
     def __init__(self, ch_image: GradedElement) -> None:
-        (set_ch_image,) = self._setters
-        set_ch_image(self, ch_image)
+        set_field(self, "ch_image", ch_image)
 
     def __mul__(self, other: "KClass") -> "KClass":
         """Untwisted product, i.e. the product of character images."""

@@ -53,6 +53,7 @@ from .superscalar import (
     parse_int,
     parse_rational,
     require_key,
+    set_field,
 )
 
 
@@ -66,10 +67,9 @@ class ModuliParams(Value):
         if g < 0 or n_ns < 0:
             raise ValueError("genus and puncture counts must be nonnegative")
         n_rr = parse_ramond_count(n_rr)
-        set_g, set_n_ns, set_n_rr = self._setters
-        set_g(self, g)
-        set_n_ns(self, n_ns)
-        set_n_rr(self, n_rr)
+        set_field(self, "g", g)
+        set_field(self, "n_ns", n_ns)
+        set_field(self, "n_rr", n_rr)
 
     def to_json(self) -> dict:
         return {"g": self.g, "n_ns": self.n_ns, "n_rr": self.n_rr}
@@ -114,12 +114,11 @@ class TargetSpec(Value):
                 f"degree {d} on P^{{{r}|{s}}} needs tau = {d * (r + 1)} and "
                 f"phi_int = {-s * d}, not {tau} and {phi_int}"
             )
-        set_r, set_s, set_tau, set_phi_int, set_d = self._setters
-        set_r(self, r)
-        set_s(self, s)
-        set_tau(self, tau)
-        set_phi_int(self, phi_int)
-        set_d(self, d)
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "tau", tau)
+        set_field(self, "phi_int", phi_int)
+        set_field(self, "d", d)
 
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":

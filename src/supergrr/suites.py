@@ -19,7 +19,7 @@ from .chowring import ChowModel, GradedElement
 from .grr import SplitSupercurve, chi_character_form, chi_super, rr_oracle
 from .ktheory import KClass, NormalData
 from .superbundle import SuperBundle
-from .superscalar import PI, SuperScalar, Value, pi_power
+from .superscalar import PI, SuperScalar, Value, pi_power, set_field
 
 
 class SuiteResult(Value):
@@ -28,10 +28,9 @@ class SuiteResult(Value):
     __slots__ = ("name", "cases", "failures")
 
     def __init__(self, name: str, cases: int, failures=()) -> None:
-        set_name, set_cases, set_failures = self._setters
-        set_name(self, name)
-        set_cases(self, cases)
-        set_failures(self, tuple(failures))
+        set_field(self, "name", name)
+        set_field(self, "cases", cases)
+        set_field(self, "failures", tuple(failures))
 
     @property
     def passed(self) -> int:

@@ -61,7 +61,7 @@ from functools import lru_cache
 from math import factorial
 
 from .chowring import ChowModel, GradedElement, align, common_denominator, lowest_terms
-from .superscalar import SuperScalar, Value, check_keys, parse_rational
+from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field
 
 Numerators = tuple[int, ...]
 
@@ -84,11 +84,10 @@ class SuperBundle(Value):
     def __init__(
         self, model: ChowModel, even: Numerators, odd: Numerators, denominator: int
     ) -> None:
-        set_model, set_even, set_odd, set_denominator = self._setters
-        set_model(self, model)
-        set_even(self, even)
-        set_odd(self, odd)
-        set_denominator(self, denominator)
+        set_field(self, "model", model)
+        set_field(self, "even", even)
+        set_field(self, "odd", odd)
+        set_field(self, "denominator", denominator)
 
     # -- constructors --------------------------------------------------
 

@@ -23,9 +23,7 @@ with TypeError.
 
 ``Value``, the base of every record type in the package, lives here, in
 the lowest layer.  A subclass names its fields in ``__slots__`` and sets
-them once in ``__init__`` by unpacking ``_setters``: the base publishes,
-per class, the ``__set__`` of each slot descriptor in field order, which
-writes past the refusing ``__setattr__``.  The base supplies ==, hash,
+them once in ``__init__`` with ``set_field``; the base supplies ==, hash,
 repr, copying and pickling over those fields and refuses any later
 assignment.  Plain slotted classes generate no code at import, which
 keeps the package's start-up cheap.
@@ -40,6 +38,10 @@ from operator import attrgetter
 
 class NotInvertible(ArithmeticError):
     """Inversion of a zero divisor of Q[P] (body**2 == soul**2)."""
+
+
+# sets a field of a Value inside its __init__, past the refusing __setattr__
+set_field = object.__setattr__
 
 
 class Value:
@@ -58,8 +60,6 @@ class Value:
     def __init_subclass__(cls) -> None:
         # the fields, read in C, for == and hash: a tuple, or the value of a lone field
         cls._fields = attrgetter(*cls.__slots__)
-        # each slot's setter, in field order: __init__ unpacks and calls them
-        cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -89,9 +89,8 @@ class SuperScalar(Value):
     __slots__ = ("body", "soul")
 
     def __init__(self, body: Fraction, soul: Fraction = Fraction(0)) -> None:
-        set_body, set_soul = self._setters
-        set_body(self, body if type(body) is Fraction else parse_rational(body, "body"))
-        set_soul(self, soul if type(soul) is Fraction else parse_rational(soul, "soul"))
+        set_field(self, "body", body if type(body) is Fraction else parse_rational(body, "body"))
+        set_field(self, "soul", soul if type(soul) is Fraction else parse_rational(soul, "soul"))
 
     # -- ring operations ---------------------------------------------
 
