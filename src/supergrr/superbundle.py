@@ -48,9 +48,17 @@ sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
 components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
 and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
 The power sums take one pass per root on P^r, adding n, n**2, .., n**top
-into one list, in place of one list of powers per degree.  A point or a
-curve (top <= 1) keeps the count and one sum: there the per-root loop
-would cost twice the C-level sum it replaces, on the calculator's hot path.
+into one sum per degree.  A point or a curve (top <= 1) keeps the count
+and one sum: there the per-root loop would cost twice the C-level sum it
+replaces, on the calculator's hot path.
+
+The power sums and the exp recurrence of td and sigma_1 run as
+straight-line kernels, generated and compiled once per size on first use
+by chowring's _compile_kernel: one per top >= 2 for the power sums, one
+per (width, row denominator R) for the recurrence.  A kernel costs
+O(top**2) once, about 4 ms for all kernels of P^1..P^6 together, and
+stays below the cost of the rows it is built for: at top 256 the Todd
+recurrence compiles in 0.6 s, _todd_rows alone takes about 1 s.
 """
 
 from __future__ import annotations
@@ -60,7 +68,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .chowring import ChowModel, GradedElement, align, common_denominator, lowest_terms
+from .chowring import (
+    ChowModel,
+    GradedElement,
+    _compile_kernel,
+    _sum_source,
+    align,
+    common_denominator,
+    lowest_terms,
+)
 from .superscalar import SuperScalar, Value, check_keys, parse_rational, set_field
 
 Numerators = tuple[int, ...]
@@ -297,14 +313,24 @@ def _power_sums(top: int, *numerator_lists: Numerators) -> list[list[int]]:
         if top < 2:  # a point or a curve: the count and one C-level sum
             out.append([len(numerators), sum(numerators)] if top else [len(numerators)])
             continue
-        sums = [len(numerators)] + [0] * top
-        for n in numerators:
-            power = 1
-            for k in range(1, top + 1):
-                power *= n
-                sums[k] += power
-        out.append(sums)
+        out.append(_power_sum_kernel(top)(numerators))
     return out
+
+
+@lru_cache(maxsize=64)
+def _power_sum_kernel(top: int):
+    """power_sums(numerators): [count, sum n, sum n**2, .., sum n**top], unrolled for top >= 2.
+
+    One pass per root multiplies its powers up once each.  Compiled on
+    first use at O(top) cost: 22 ms at top 256.
+    """
+    sums = [f"s{k}" for k in range(1, top + 1)]
+    lines = [" = ".join(sums) + " = 0", "for n in numerators:"]
+    lines += ["    s1 += n", "    p = n * n", "    s2 += p"]
+    for k in range(3, top + 1):
+        lines += ["    p *= n", f"    s{k} += p"]
+    lines.append(f"return [len(numerators), {', '.join(sums)}]")
+    return _compile_kernel("power_sums", "numerators", lines)
 
 
 def _over_factorials(
@@ -345,21 +371,45 @@ def _scaled_exp(
     F_0 = 1 and F_k = sum_j j G_j F_(k-j) R**(j-1) (k-1)!/(k-j)!: the
     recurrence k f_k = sum_j j g_j f_(k-j) cleared of denominators.
     """
-    # weighted[j] = j G_j R**(j-1)
-    weighted = [0]
-    power = 1
-    for j in range(1, len(exponent)):
-        weighted.append(j * exponent[j] * power)
-        power *= row_den
-    series = [scale]  # the recurrence is linear, so F_0 = scale scales every F_k
-    for k in range(1, len(exponent)):
-        total = 0
-        falling = 1  # (k-1)!/(k-j)!
-        for j in range(1, k + 1):
-            total += weighted[j] * series[k - j] * falling
-            falling *= k - j
-        series.append(total)
+    series = _exp_kernel(len(exponent), row_den)(exponent, scale)
     return _over_factorials(model, series, series, row_den * den, divisor)
+
+
+@lru_cache(maxsize=64)
+def _exp_kernel(width: int, row_den: int):
+    """exp(g, f0): _scaled_exp's series F_0 = f0, F_1, .., F_(width-1), unrolled.
+
+    Each j >= 2 first takes w_j = j R**(j-1) G_j, and then
+    F_k = sum_j (k-1)!/(k-j)! w_j F_(k-j), with w_1 = G_1; a factor 1 is
+    left out.  The recurrence is linear, so F_0 = f0 scales every F_k.
+
+    Each j R**(j-1) and each (k-1)!/(k-j)! is a name in the kernel's
+    namespace, never a literal in its source: R**(j-1) passes the
+    4300-digit limit of int to str on P^64.  R stays out of the per-(k, j)
+    constants, which would otherwise hold O(width**3) digits of R (some
+    1.5e9 at width 257).  Compiled on first use at O(width**2) cost:
+    16 ms at width 65, 0.6 s at width 257.
+    """
+    constants = {}
+    lines = [", ".join([f"g{j}" for j in range(width)]) + ", = g"]
+    power = 1  # R**(j-1)
+    for j in range(2, width):
+        power *= row_den
+        constants[f"r{j}"] = j * power
+        lines.append(f"w{j} = r{j} * g{j}")
+    for k in range(1, width):
+        terms = [f"g1 * f{k - 1}"]
+        falling = 1  # (k-1)!/(k-j)!
+        for j in range(2, k + 1):
+            falling *= k - j + 1
+            if falling == 1:
+                terms.append(f"w{j} * f{k - j}")
+            else:
+                constants[f"c{k}_{j}"] = falling
+                terms.append(f"c{k}_{j} * w{j} * f{k - j}")
+        lines.append(f"f{k} = {_sum_source(terms)}")
+    lines.append(f"return [{', '.join([f'f{k}' for k in range(width)])}]")
+    return _compile_kernel("exp", "g, f0", lines, constants)
 
 
 def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from supergrr import (
@@ -16,7 +16,13 @@ from supergrr import (
     PI,
     SuperScalar,
 )
-from supergrr.chowring import integrate_product
+from supergrr.chowring import (
+    _compile_kernel,
+    _convolution_kernel,
+    _sum_source,
+    integrate_product,
+    lowest_terms,
+)
 
 POINT = ChowModel.point()
 CURVE2 = ChowModel.curve(2)
@@ -141,6 +147,65 @@ def test_ring_mul_associative_commutative():
         assert x.ring_mul(y) == y.ring_mul(x)
         assert x.ring_mul(y).ring_mul(z) == x.ring_mul(y.ring_mul(z))
         assert x.ring_mul(y + z) == x.ring_mul(y) + x.ring_mul(z)
+
+
+# -- the compiled convolution against its definition ------------------------------
+
+
+def convolution_by_loop(a, b):
+    """The definition the compiled kernel unrolls: c_k = sum of a_i b_(k-i) over i = 0..k."""
+    out = []
+    for k in range(len(a)):
+        total = 0
+        for i in range(k + 1):
+            total += a[i] * b[k - i]
+        out.append(total)
+    return out
+
+
+def model_of_width(width):
+    return POINT if width == 1 else ChowModel.proj_space(width - 1)
+
+
+BIG = st.integers(-(2**90), 2**90)
+
+
+@st.composite
+def same_width_vectors(draw, count):
+    width = draw(st.integers(1, 24))
+    return [tuple(draw(st.lists(BIG, min_size=width, max_size=width))) for _ in range(count)]
+
+
+@given(same_width_vectors(2))
+@example([(2**90,) * 24, (-(2**90),) * 24])
+@example([(0,), (-7,)])
+def test_convolution_kernel_is_its_definition(vectors):
+    a, b = vectors
+    assert _convolution_kernel(len(a))(a, b) == convolution_by_loop(a, b)
+
+
+@given(same_width_vectors(3), st.integers(1, 2**40), st.integers(1, 2**40), st.booleans())
+def test_ring_mul_is_the_convolution_of_each_component(vectors, d1, d2, other_shares):
+    # x shares one tuple between its components; y does too when other_shares
+    a, b, c = vectors
+    model = model_of_width(len(a))
+    x = GradedElement(model, a, a, d1)
+    y = GradedElement(model, b, b if other_shares else c, d2)
+    product = x.ring_mul(y)
+    expected = lowest_terms(
+        convolution_by_loop(a, y.plus), convolution_by_loop(a, y.minus), d1 * d2
+    )
+    assert (product.plus, product.minus, product.denominator) == expected
+    # a class equal at P = +1 and P = -1 is convolved once and keeps one tuple
+    assert (product.minus is product.plus) == other_shares
+
+
+def test_a_sum_of_thousands_of_terms_compiles():
+    # a chain of 3 000 + overflows the compiler's recursion; the emitter nests balanced halves
+    terms = [f"a[{i}] * b[{4999 - i}]" for i in range(5000)]
+    degree = _compile_kernel("degree", "a, b", [f"return {_sum_source(terms)}"])
+    a, b = list(range(5000)), list(range(-2500, 2500))
+    assert degree(a, b) == sum(x * y for x, y in zip(a, reversed(b)))
 
 
 # -- series inversion -----------------------------------------------------------

@@ -6,6 +6,9 @@ Nor does importing the CLI load what only some subcommands use: `csv`
 (table), the suites and `random` (grr-check, identities), or `typing`
 and `pathlib`, which nothing needs.
 
+The class kernels on P^r are compiled on first use, never at import,
+so importing the CLI leaves every kernel cache empty.
+
 The children import the same copy of the package as the tests, from the
 checkout's `src` or from an installed copy alike.
 """
@@ -22,6 +25,7 @@ import supergrr
 SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
 UNUSED_AT_IMPORT = ("typing", "pathlib", "csv", "random", "supergrr.suites")
+KERNEL_CACHES = ("_convolution_kernel", "_exp_kernel", "_power_sum_kernel")
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -48,6 +52,23 @@ def test_importing_the_cli_without_site_loads_no_subcommand_module():
     loaded = set(proc.stdout.split())
     assert "supergrr.cli" in loaded
     assert loaded.isdisjoint(UNUSED_AT_IMPORT), sorted(loaded & set(UNUSED_AT_IMPORT))
+
+
+def test_importing_the_cli_compiles_no_kernel():
+    # every cached *_kernel of the loaded supergrr modules, found by name, with its entries
+    probe = (
+        "import sys, supergrr.cli\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.startswith('supergrr'):\n"
+        "        for attr, value in vars(module).items():\n"
+        "            if attr.endswith('_kernel') and hasattr(value, 'cache_info'):\n"
+        "                print(attr, value.cache_info().currsize)\n"
+    )
+    proc = _run_fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    caches = dict(line.split() for line in proc.stdout.splitlines())
+    assert sorted(caches) == sorted(KERNEL_CACHES)
+    assert set(caches.values()) == {"0"}, caches
 
 
 @pytest.mark.parametrize(

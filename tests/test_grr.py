@@ -374,3 +374,25 @@ def test_susy_refuses_inexact_numbers(genus, n_rr):
 def test_supercurve_reads_exact_twist():
     deg_l = SplitSupercurve(1, -3).deg_l
     assert deg_l == -3 and type(deg_l) is int
+
+
+# -- Serre duality ------------------------------------------------------------------------
+
+
+def test_serre_duality_on_the_split_supercurve():
+    """chi_S(U^dual (x) Ber) = -chi_S(U), with Ber = Pi(omega_C (x) L^-1) of rank 0|1.
+
+    Its odd degree 2g - 2 - deg L pins the twist convention of gr_module:
+    one more or one less breaks the identity on some draw.
+    """
+    rng = random.Random(42)
+    shifted_holds = {-1: True, 1: True}
+    for _ in range(1000):
+        curve, bundle = random_supercurve_instance(rng)
+        degree = 2 * curve.genus - 2 - curve.deg_l
+        minus_chi = -chi_super(curve, bundle)
+        assert chi_super(curve, bundle.dual().tensor(bundle_on(curve, odd=[degree]))) == minus_chi
+        for shift in shifted_holds:
+            ber = bundle_on(curve, odd=[degree + shift])
+            shifted_holds[shift] &= chi_super(curve, bundle.dual().tensor(ber)) == minus_chi
+    assert not any(shifted_holds.values())

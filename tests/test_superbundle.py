@@ -2,6 +2,8 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -18,7 +20,16 @@ from supergrr import (
     SuperScalar,
     pi_power,
 )
-from supergrr.superbundle import _factorial_weights, _power_sums
+from supergrr.chowring import integrate_product
+from supergrr.superbundle import (
+    _exp_kernel,
+    _factorial_weights,
+    _over_factorials,
+    _power_sums,
+    _scaled_exp,
+    _sigma1_row,
+    _todd_rows,
+)
 
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
@@ -273,13 +284,15 @@ NUMERATORS = st.lists(
 ).map(tuple)
 
 
-@given(st.integers(0, 8), st.lists(NUMERATORS, min_size=1, max_size=3))
+@given(st.integers(0, 24), st.lists(NUMERATORS, min_size=1, max_size=3))
 @example(0, [(), (5,)])
 @example(1, [(), (-(2**60),), (3, -7)])
 @example(2, [(), (-1,)])
 @example(8, [(2**60 - 1,), (), (-3, 4, -5)])
+@example(24, [(), (-(2**90),), (2**90, -3, 4, -5, 6, 7)])
 def test_power_sums_are_their_definition(top, lists):
-    # both branches, top <= 1 (a point or a curve) and top >= 2 (P^r), give top + 1 sums per list
+    # both branches, top <= 1 (a point or a curve) and the compiled kernel of each
+    # top >= 2 (P^r), give top + 1 sums per list
     assert _power_sums(top, *lists) == [
         [sum(n**k for n in numerators) for k in range(top + 1)] for numerators in lists
     ]
@@ -293,6 +306,73 @@ def test_todd_equals_sigma1_of_dual_on_purely_odd():
             model, (), [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
         )
         assert E.todd() == E.dual().sigma1()
+
+
+# -- the compiled kernels against their definitions --------------------------------
+
+
+def exp_series_by_loop(exponent, row_den, scale):
+    """The recurrence the exp kernel unrolls: F_0 = scale and
+    F_k = sum_j j G_j R**(j-1) (k-1)!/(k-j)! F_(k-j) for R = row_den."""
+    weighted = [0]
+    power = 1
+    for j in range(1, len(exponent)):
+        weighted.append(j * exponent[j] * power)
+        power *= row_den
+    series = [scale]
+    for k in range(1, len(exponent)):
+        total = 0
+        falling = 1  # (k-1)!/(k-j)!
+        for j in range(1, k + 1):
+            total += weighted[j] * series[k - j] * falling
+            falling *= k - j
+        series.append(total)
+    return series
+
+
+BIG = st.integers(-(2**90), 2**90)
+
+
+@st.composite
+def exp_cases(draw):
+    top = draw(st.integers(1, 24))
+    row_den = draw(st.sampled_from([_todd_rows(top)[0], _sigma1_row(top)[0]]))
+    exponent = [0] + draw(st.lists(BIG, min_size=top, max_size=top))
+    return top, row_den, exponent
+
+
+@given(exp_cases(), st.integers(1, 2**20), st.integers(1, 2**40), st.integers(1, 2**40))
+def test_exp_kernel_is_its_recurrence(case, den, scale, divisor):
+    # td and sigma_1 pass scale = 2**s, the inverse of sigma_1 passes divisor = 2**s
+    top, row_den, exponent = case
+    series = exp_series_by_loop(exponent, row_den, scale)
+    assert _exp_kernel(top + 1, row_den)(exponent, scale) == series
+    model = ChowModel.proj_space(top)
+    built = _scaled_exp(model, exponent, row_den, den, scale=scale, divisor=divisor)
+    assert built == _over_factorials(model, series, series, row_den * den, divisor)
+
+
+# -- large top degrees: kernel constants come from the namespace, not the source --------
+
+
+@lru_cache(maxsize=2)
+def tangent_todd(k):
+    """td(T P^k) = td(O(1)**(k+1)), since T P^k + O = O(1)**(k+1); about 1 s at k = 100."""
+    return SuperBundle.from_degrees(ChowModel.proj_space(k), [1] * (k + 1)).todd()
+
+
+@pytest.mark.parametrize("k", [64, 100])
+@pytest.mark.parametrize("j", [-3, 0, 7])
+def test_riemann_roch_of_a_line_on_a_large_projective_space(k, j):
+    # chi(O(j)) = C(j+k, k)
+    line = SuperBundle.from_degrees(ChowModel.proj_space(k), [j])
+    assert integrate_product(line.chern_character(), tangent_todd(k)) == SuperScalar(comb(j + k, k))
+
+
+def test_sigma1_pair_inverts_on_p64():
+    model = ChowModel.proj_space(64)
+    sigma1, inverse = SuperBundle.from_degrees(model, [], [3, Fraction(-5, 7), 11]).sigma1_pair()
+    assert sigma1.ring_mul(inverse) == GradedElement.one(model)
 
 
 # -- serialization ------------------------------------------------------------------------
