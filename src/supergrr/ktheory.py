@@ -16,6 +16,11 @@ is the same closed form with the exponent negated and 2**-s in front
 (see superbundle), so no series inversion is needed.  The memo here
 wraps SuperBundle.sigma1_pair, which builds both from one exponent.
 
+On split P^{r|s}, gr O(k) = sum_j Lambda^j(O(-1)**s) (x) O(k), in parity
+j, has chi_S = sum_j C(s, j) (-P)**j chi(O(k - j)).  For N* = O(-1)**s,
+integral(j(ch O(k)) td) is body - soul of that value: sigma_1 carries no
+P, so j forgets parity.  Whether MPV's twist should carry P is open.
+
 A KClass is built from its character image, and normal data from exact
 degrees with NormalData.from_degrees; neither has a JSON form.
 """

@@ -40,7 +40,8 @@ p_k(m), taken as D**k p_k:
 The rows tau, upsilon and upsilon' are the coefficients of the series
 logarithms of x / (1 - e**-x), (1 + e**-x) / 2 and (1 + e**x) / 2.  Each
 row is computed from its own defining series and cached per top degree,
-as integer numerators over a common denominator.
+as integer numerators over a common denominator R, entry j already
+multiplied by j R**(j-1), the weight the exp recurrence takes it with.
 
 Each kernel does its arithmetic once: sigma1_pair builds sigma_1 and
 its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
@@ -52,13 +53,13 @@ into one sum per degree.  A point or a curve (top <= 1) keeps the count
 and one sum: there the per-root loop would cost twice the C-level sum it
 replaces, on the calculator's hot path.
 
-The power sums and the exp recurrence of td and sigma_1 run as
-straight-line kernels, generated and compiled once per size on first use
-by chowring's _compile_kernel: one per top >= 2 for the power sums, one
-per (width, row denominator R) for the recurrence.  A kernel costs
-O(top**2) once, about 4 ms for all kernels of P^1..P^6 together, and
-stays below the cost of the rows it is built for: at top 256 the Todd
-recurrence compiles in 0.6 s, _todd_rows alone takes about 1 s.
+The power sums and the exp recurrence of td, sigma_1 and its inverse
+run as straight-line kernels, generated and compiled by chowring's
+_compile_kernel on first use, once per size alone: per top degree for
+the power sums, per width for the recurrence; R lives in the rows.  A
+kernel costs O(top**2) once, about 2 ms for all kernels of P^1..P^6
+together, and stays below the cost of the rows it is built for: at top
+256 the recurrence compiles in 0.25 s, _todd_rows takes about 0.9 s.
 """
 
 from __future__ import annotations
@@ -187,33 +188,29 @@ class SuperBundle(Value):
         even, odd = _power_sums(top, self.even, self.odd)
         row_den, tau, upsilon = _todd_rows(top)
         exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
-        scale = 2 ** len(self.odd)
-        return _scaled_exp(self.model, exponent, row_den, self.denominator, scale=scale)
+        den = row_den * self.denominator
+        return _scaled_exp(self.model, exponent, den, scale=2 ** len(self.odd))
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
-        return self._sigma1_from(self._sigma1_exponent())
+        exponent, den = self._sigma1_exponent()
+        return _scaled_exp(self.model, exponent, den, scale=2 ** len(self.odd))
 
     def sigma1_pair(self) -> tuple[GradedElement, GradedElement]:
         """sigma1() = 2**s * exp(g) and its inverse 2**-s * exp(-g), from one exponent g."""
-        exponent = self._sigma1_exponent()
-        return self._sigma1_from(exponent), self._sigma1_from(exponent, inverse=True)
+        exponent, den = self._sigma1_exponent()
+        power = 2 ** len(self.odd)
+        inverse = _scaled_exp(self.model, [-e for e in exponent], den, divisor=power)
+        return _scaled_exp(self.model, exponent, den, scale=power), inverse
 
-    def _sigma1_exponent(self) -> list[int]:
-        """The exponent g of sigma1, over the denominator of _sigma1_row."""
+    def _sigma1_exponent(self) -> tuple[list[int], int]:
+        """The weighted exponent g of sigma1 and its denominator R * D (see _scaled_exp)."""
         if self.even:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
         top = self.model.top_degree
         (odd,) = _power_sums(top, self.odd)
-        return [u * m for u, m in zip(_sigma1_row(top)[1], odd)]
-
-    def _sigma1_from(self, exponent: list[int], inverse: bool = False) -> GradedElement:
-        """2**s * exp(g) from the exponent g of sigma1, or 2**-s * exp(-g) when inverse."""
-        model, power, den = self.model, 2 ** len(self.odd), self.denominator
-        row_den = _sigma1_row(model.top_degree)[0]
-        if inverse:
-            return _scaled_exp(model, [-e for e in exponent], row_den, den, divisor=power)
-        return _scaled_exp(model, exponent, row_den, den, scale=power)
+        row_den, row = _sigma1_row(top)
+        return [u * m for u, m in zip(row, odd)], row_den * self.denominator
 
     # -- bundle operations ------------------------------------------------
 
@@ -308,22 +305,22 @@ def _power_sums(top: int, *numerator_lists: Numerators) -> list[list[int]]:
     Over the bundle's denominator D these are D**k * p_k of the degrees;
     p_0 is their count.
     """
-    out = []
-    for numerators in numerator_lists:
-        if top < 2:  # a point or a curve: the count and one C-level sum
-            out.append([len(numerators), sum(numerators)] if top else [len(numerators)])
-            continue
-        out.append(_power_sum_kernel(top)(numerators))
-    return out
+    kernel = _power_sum_kernel(top)
+    return [kernel(numerators) for numerators in numerator_lists]
 
 
 @lru_cache(maxsize=64)
 def _power_sum_kernel(top: int):
-    """power_sums(numerators): [count, sum n, sum n**2, .., sum n**top], unrolled for top >= 2.
+    """power_sums(numerators): [count, sum n, sum n**2, .., sum n**top], unrolled.
 
-    One pass per root multiplies its powers up once each.  Compiled on
-    first use at O(top) cost: 22 ms at top 256.
+    One pass per root multiplies its powers up once each.  A point or a
+    curve (top <= 1) takes the count and one C-level sum instead, at half
+    the cost of the pass on the calculator's hot path.  Compiled on first
+    use at O(top) cost: 3 ms at top 256.
     """
+    if top < 2:
+        sums = ["len(numerators)", "sum(numerators)"][: top + 1]
+        return _compile_kernel("power_sums", "numerators", [f"return [{', '.join(sums)}]"])
     sums = [f"s{k}" for k in range(1, top + 1)]
     lines = [" = ".join(sums) + " = 0", "for n in numerators:"]
     lines += ["    s1 += n", "    p = n * n", "    s2 += p"]
@@ -354,62 +351,54 @@ def _factorial_weights(top: int, den: int) -> tuple[int, ...]:
 
 
 def _scaled_exp(
-    model: ChowModel,
-    exponent: list[int],
-    row_den: int,
-    den: int,
-    *,
-    scale: int = 1,
-    divisor: int = 1,
+    model: ChowModel, exponent: list[int], den: int, *, scale: int = 1, divisor: int = 1
 ) -> GradedElement:
     """scale / divisor * exp(g), in integers; equal at P = +1 and P = -1.
 
-    Where td and sigma_1 meet their 2**s or 2**-s factor.  The
-    exponent has no constant term and is g_k = exponent[k] / (R * D**k),
-    a cached row over R times power sums over D.  In y = x / D, g has
-    coefficients G_j / R, so f = exp(g) is f_k = F_k / (k! (R D)**k) with
-    F_0 = 1 and F_k = sum_j j G_j F_(k-j) R**(j-1) (k-1)!/(k-j)!: the
-    recurrence k f_k = sum_j j g_j f_(k-j) cleared of denominators.
+    Where td and sigma_1 meet their 2**s or 2**-s factor.  In y = x / D,
+    g has no constant term and coefficients G_j / R: a cached row over R
+    times power sums over D.  The exponent is W_j = j R**(j-1) G_j, as
+    the rows carry it, and den is R * D.  Then f = exp(g) is
+    f_k = F_k / (k! (R D)**k) with F_0 = 1 and
+    F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j): the recurrence
+    k f_k = sum_j j g_j f_(k-j) cleared of denominators.
     """
-    series = _exp_kernel(len(exponent), row_den)(exponent, scale)
-    return _over_factorials(model, series, series, row_den * den, divisor)
+    series = _exp_kernel(len(exponent))(exponent, scale)
+    return _over_factorials(model, series, series, den, divisor)
 
 
 @lru_cache(maxsize=64)
-def _exp_kernel(width: int, row_den: int):
-    """exp(g, f0): _scaled_exp's series F_0 = f0, F_1, .., F_(width-1), unrolled.
+def _exp_kernel(width: int):
+    """exp(w, f0): _scaled_exp's series F_0 = f0, F_1, .., F_(width-1), unrolled.
 
-    Each j >= 2 first takes w_j = j R**(j-1) G_j, and then
-    F_k = sum_j (k-1)!/(k-j)! w_j F_(k-j), with w_1 = G_1; a factor 1 is
+    F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j), with the factor 1 of j = 1
     left out.  The recurrence is linear, so F_0 = f0 scales every F_k.
-
-    Each j R**(j-1) and each (k-1)!/(k-j)! is a name in the kernel's
-    namespace, never a literal in its source: R**(j-1) passes the
-    4300-digit limit of int to str on P^64.  R stays out of the per-(k, j)
-    constants, which would otherwise hold O(width**3) digits of R (some
-    1.5e9 at width 257).  Compiled on first use at O(width**2) cost:
-    16 ms at width 65, 0.6 s at width 257.
+    The kernel depends on its width alone, so td, sigma_1 and its inverse
+    share it.  Each (k-1)!/(k-j)! is a name in the kernel's namespace,
+    which holds nothing else.  Compiled on first use at O(width**2) cost:
+    15 ms at width 65, 0.25 s at width 257.
     """
     constants = {}
-    lines = [", ".join([f"g{j}" for j in range(width)]) + ", = g"]
-    power = 1  # R**(j-1)
-    for j in range(2, width):
-        power *= row_den
-        constants[f"r{j}"] = j * power
-        lines.append(f"w{j} = r{j} * g{j}")
+    lines = [", ".join([f"w{j}" for j in range(width)]) + ", = w"]
     for k in range(1, width):
-        terms = [f"g1 * f{k - 1}"]
+        terms = [f"w1 * f{k - 1}"]
         falling = 1  # (k-1)!/(k-j)!
         for j in range(2, k + 1):
             falling *= k - j + 1
-            if falling == 1:
-                terms.append(f"w{j} * f{k - j}")
-            else:
-                constants[f"c{k}_{j}"] = falling
-                terms.append(f"c{k}_{j} * w{j} * f{k - j}")
+            constants[f"c{k}_{j}"] = falling
+            terms.append(f"c{k}_{j} * w{j} * f{k - j}")
         lines.append(f"f{k} = {_sum_source(terms)}")
     lines.append(f"return [{', '.join([f'f{k}' for k in range(width)])}]")
-    return _compile_kernel("exp", "g, f0", lines, constants)
+    return _compile_kernel("exp", "w, f0", lines, constants)
+
+
+def _weighted_row(den: int, row: Sequence[int]) -> tuple[int, ...]:
+    """j * den**(j-1) * row[j] for each j: a row over den as the exp kernel takes it."""
+    weighted, power = [0], 1  # a log row has no constant term
+    for j in range(1, len(row)):
+        weighted.append(j * power * row[j])
+        power *= den
+    return tuple(weighted)
 
 
 def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
@@ -422,7 +411,7 @@ def _series_log(f: list[Fraction]) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=64)
 def _todd_rows(top: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """tau and upsilon over one common denominator.
+    """tau and upsilon over one common denominator R, weighted by _weighted_row.
 
     tau is log(x / (1 - e**-x)) = -log(sum_j (-x)**j / (j+1)!) and
     upsilon is log((1 + e**-x) / 2).
@@ -431,11 +420,12 @@ def _todd_rows(top: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     half_exp = [Fraction((-1) ** k, 2 * factorial(k)) for k in range(1, top + 1)]
     upsilon = _series_log([Fraction(1)] + half_exp)
     den, both = common_denominator([*tau, *upsilon])
-    return den, both[: top + 1], both[top + 1 :]
+    return den, _weighted_row(den, both[: top + 1]), _weighted_row(den, both[top + 1 :])
 
 
 @lru_cache(maxsize=64)
 def _sigma1_row(top: int) -> tuple[int, tuple[int, ...]]:
-    """upsilon': log((1 + e**x) / 2)."""
+    """upsilon': log((1 + e**x) / 2), over its denominator R, weighted by _weighted_row."""
     half_exp = [Fraction(1, 2 * factorial(k)) for k in range(1, top + 1)]
-    return common_denominator(_series_log([Fraction(1)] + half_exp))
+    den, row = common_denominator(_series_log([Fraction(1)] + half_exp))
+    return den, _weighted_row(den, row)

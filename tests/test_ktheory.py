@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from supergrr import (
     star_identity,
     star_product,
 )
+from supergrr.chowring import integrate_product
 from supergrr.ktheory import _sigma1_classes
 
 C0 = ChowModel.curve(0)
@@ -214,3 +216,48 @@ def test_sigma1_cache_is_bounded():
         assert sigma1_normal(nd) == nd.conormal.sigma1()
     info = _sigma1_classes.cache_info()
     assert info.maxsize is not None and info.currsize <= 16
+
+
+# -- Riemann-Roch on split P^{r|s}: gr O(k) = sum_j Lambda^j(O(-1)**s) (x) O(k), in parity j --
+
+
+def chi_line(r, m):
+    """chi(P^r, O(m)) = C(m + r, r) as a polynomial in m: prod_i (m + i) / r!."""
+    return Fraction(prod(m + i for i in range(1, r + 1)), factorial(r))
+
+
+def chi_split(r, s, k):
+    """chi_S(gr O(k)) = sum_j C(s, j) (-P)**j chi(O(k - j)), as (body, soul)."""
+    terms = [comb(s, j) * chi_line(r, k - j) for j in range(s + 1)]
+    return sum(terms[0::2]), -sum(terms[1::2])
+
+
+def tangent_todd(model):
+    """td(T P^r) = td(O(1)**(r+1))."""
+    return SuperBundle.from_degrees(model, [1] * (model.top_degree + 1)).todd()
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("s", range(4))
+def test_riemann_roch_of_a_line_on_split_projective_superspace(r, s):
+    # the class route, integral ch(gr O(k)) td(T P^r), against the binomial route
+    model = ChowModel.proj_space(r)
+    todd = tangent_todd(model)
+    for k in range(-6, 7):
+        pieces = [[k - j] * comb(s, j) for j in range(s + 1)]
+        graded = SuperBundle.from_degrees(model, sum(pieces[0::2], []), sum(pieces[1::2], []))
+        body, soul = chi_split(r, s, k)
+        assert integrate_product(graded.chern_character(), todd) == SuperScalar(body, soul)
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("s", range(4))
+def test_j_map_of_a_line_on_split_projective_superspace_forgets_parity(r, s):
+    # sigma_1 carries no P, so j(ch O(k)) integrates to body - soul of chi_S(gr O(k))
+    model = ChowModel.proj_space(r)
+    todd = tangent_todd(model)
+    nd = NormalData.from_degrees(model, [-1] * s)
+    for k in range(-6, 7):
+        twisted = j_map(KClass(SuperBundle.from_degrees(model, [k]).chern_character()), nd)
+        body, soul = chi_split(r, s, k)
+        assert integrate_product(twisted.ch_image, todd) == SuperScalar(body - soul)

@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given
@@ -29,6 +29,7 @@ from supergrr.superbundle import (
     _scaled_exp,
     _sigma1_row,
     _todd_rows,
+    _weighted_row,
 )
 
 C0 = ChowModel.curve(0)
@@ -343,13 +344,72 @@ def exp_cases(draw):
 
 @given(exp_cases(), st.integers(1, 2**20), st.integers(1, 2**40), st.integers(1, 2**40))
 def test_exp_kernel_is_its_recurrence(case, den, scale, divisor):
-    # td and sigma_1 pass scale = 2**s, the inverse of sigma_1 passes divisor = 2**s
+    # td and sigma_1 pass scale = 2**s, the inverse of sigma_1 passes divisor = 2**s;
+    # the kernel takes the exponent weighted by j R**(j-1), as the cached rows carry it
     top, row_den, exponent = case
     series = exp_series_by_loop(exponent, row_den, scale)
-    assert _exp_kernel(top + 1, row_den)(exponent, scale) == series
+    weighted = [0] + [j * row_den ** (j - 1) * exponent[j] for j in range(1, top + 1)]
+    assert _exp_kernel(top + 1)(weighted, scale) == series
     model = ChowModel.proj_space(top)
-    built = _scaled_exp(model, exponent, row_den, den, scale=scale, divisor=divisor)
+    built = _scaled_exp(model, weighted, row_den * den, scale=scale, divisor=divisor)
     assert built == _over_factorials(model, series, series, row_den * den, divisor)
+
+
+@st.composite
+def weighted_row_cases(draw):
+    top = draw(st.integers(1, 24))
+    den = draw(st.sampled_from([_todd_rows(top)[0], _sigma1_row(top)[0], 1, 7]))
+    return den, draw(st.lists(BIG, min_size=top + 1, max_size=top + 1))
+
+
+@given(weighted_row_cases())
+def test_weighted_row_is_its_definition(case):
+    den, row = case
+    expected = tuple([0] + [j * den ** (j - 1) * row[j] for j in range(1, len(row))])
+    assert _weighted_row(den, row) == expected
+
+
+def exp_of_weighted_row(den, row):
+    """exp of the series sum_j row_j / den x**j, from a row weighted by _weighted_row."""
+    series = _exp_kernel(len(row))(row, 1)
+    return [Fraction(f, factorial(k) * den**k) for k, f in enumerate(series)]
+
+
+@pytest.mark.parametrize("top", [1, 2, 5, 12, 24])
+def test_cached_rows_are_the_logarithms_of_their_series(top):
+    # exp(tau) = x / (1 - e**-x), exp(upsilon) = (1 + e**-x) / 2, exp(upsilon') = (1 + e**x) / 2;
+    # the first is checked through its product with (1 - e**-x) / x = sum_j (-x)**j / (j+1)!
+    row_den, tau, upsilon = _todd_rows(top)
+    todd = exp_of_weighted_row(row_den, tau)
+    shifted = [Fraction((-1) ** j, factorial(j + 1)) for j in range(top + 1)]
+    product = [sum(todd[i] * shifted[k - i] for i in range(k + 1)) for k in range(top + 1)]
+    assert product == [1] + [0] * top
+    half = [Fraction(1)] + [Fraction(1, 2 * factorial(k)) for k in range(1, top + 1)]
+    assert exp_of_weighted_row(row_den, upsilon) == [(-1) ** k * c for k, c in enumerate(half)]
+    assert exp_of_weighted_row(*_sigma1_row(top)) == half
+
+
+def test_td_and_sigma1_share_one_exp_kernel_per_width():
+    # curves and P^1 share width 2; every name in a kernel's namespace is (k-1)!/(k-j)!
+    _exp_kernel.cache_clear()
+    models = [C0, C2] + [ChowModel.proj_space(r) for r in range(1, 7)]
+    for model in models:
+        SuperBundle.from_degrees(model, [1, Fraction(-2, 3)], [5]).todd()
+        SuperBundle.from_degrees(model, [], [3, Fraction(1, 2)]).sigma1_pair()
+    assert _exp_kernel.cache_info().currsize == 6
+    for width in range(2, 8):
+        kernel = _exp_kernel(width)
+        constants = {
+            name: value
+            for name, value in kernel.__globals__.items()
+            if name not in ("__builtins__", kernel.__name__)
+        }
+        assert len(constants) == (width - 1) * (width - 2) // 2
+        for name, value in constants.items():
+            k, j = map(int, re.fullmatch(r"c(\d+)_(\d+)", name).groups())
+            assert 2 <= j <= k < width
+            assert value == factorial(k - 1) // factorial(k - j)
+    assert _exp_kernel.cache_info().currsize == 6
 
 
 # -- large top degrees: kernel constants come from the namespace, not the source --------
