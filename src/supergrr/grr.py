@@ -7,12 +7,15 @@ any locally free sheaf U on it has an associated graded bundle
     gr U = [U0 + L.M1]  +  P [M1 + L.U0],    M1 = parity shift of U1,
 
 which at the level of Chern roots twists each root of the opposite
-parity by deg L.  The super Euler characteristic is then computed two
-independent ways: integrating ch(gr U) . td(T_X) over the curve, and
-componentwise classical Riemann-Roch (chi = deg + rank.(1-g)) on the
-even and odd parts of gr U.  Both are exact and must agree, and both
-return the super Euler characteristic chi_S(U) = chi(even part) -
-P chi(odd part) as a SuperScalar.
+parity by deg L.  That is gr U = U (x) gr O, with gr O = O_X + P L the
+graded structure sheaf, so ch(gr U) = ch(U) . ch(gr O).  The super Euler
+characteristic is then computed two independent ways: integrating ch(U)
+against the per-curve class ch(gr O) . td(T_X) = (1 - P e^(deg L w)) .
+td(T_X), built once per curve from gr_module, and componentwise classical
+Riemann-Roch (chi = deg + rank.(1-g)) on the even and odd parts of
+gr U, read from gr_module's root degrees.  Both are exact and must
+agree, and both return the super Euler characteristic chi_S(U) =
+chi(even part) - P chi(odd part) as a SuperScalar.
 
 The twist deg L is an integer from construction, so gr needs no check
 of it.  SplitSupercurve.susy hands out one shared curve per genus and
@@ -101,14 +104,28 @@ def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:
     return SuperBundle(bundle.model, even, odd, den)
 
 
+@lru_cache(maxsize=64)
+def _curve_class(genus: int, deg_l: int) -> GradedElement:
+    """ch(gr O) . td(T_X) on the curve with twist deg_l (immutable, shared).
+
+    gr U = U (x) gr O, so this is the whole integrand of chi_super but ch(U).
+    """
+    structure = SuperBundle(ChowModel.curve(genus), (0,), (), 1)
+    graded = gr_module(SplitSupercurve(genus, deg_l), structure)
+    return graded.chern_character().ring_mul(_curve_todd(genus))
+
+
 def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
-    """Euler characteristic by integration: integral of ch(gr U) . td(T_X)."""
+    """Euler characteristic by integration: integral of ch(U) . ch(gr O) . td(T_X).
+
+    That is the integral of ch(gr U) . td(T_X), as gr U = U (x) gr O.
+    """
     return _scalar(*_chi_values(curve, bundle))
 
 
 def _chi_values(curve: SplitSupercurve, bundle: SuperBundle) -> tuple[int, int, int]:
-    """chi_super at P = +1 and P = -1, over one denominator."""
-    return _pairing(gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus))
+    """chi_super at P = +1 and P = -1, over one denominator: ch(U) against the curve's class."""
+    return _pairing(bundle.chern_character(), _curve_class(curve.genus, curve.deg_l))
 
 
 def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

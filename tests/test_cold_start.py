@@ -7,7 +7,8 @@ Nor does importing the CLI load what only some subcommands use: `csv`
 and `pathlib`, which nothing needs.
 
 The class kernels on P^r are compiled on first use, never at import,
-so importing the CLI leaves every kernel cache empty.
+so importing the CLI leaves every kernel cache empty.  So are the
+per-curve classes of the Riemann-Roch engine.
 
 The children import the same copy of the package as the tests, from the
 checkout's `src` or from an installed copy alike.
@@ -69,6 +70,17 @@ def test_importing_the_cli_compiles_no_kernel():
     caches = dict(line.split() for line in proc.stdout.splitlines())
     assert sorted(caches) == sorted(KERNEL_CACHES)
     assert set(caches.values()) == {"0"}, caches
+
+
+def test_importing_the_cli_builds_no_curve_class():
+    probe = (
+        "import supergrr.cli\n"
+        "from supergrr.grr import _curve_class, _curve_todd\n"
+        "print(_curve_class.cache_info().currsize, _curve_todd.cache_info().currsize)\n"
+    )
+    proc = _run_fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize(

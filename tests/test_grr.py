@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,13 +15,15 @@ from supergrr import (
     SplitSupercurve,
     SuperBundle,
     SuperScalar,
+    TargetSpec,
     chi_character_form,
     chi_super,
     gr_module,
     pullback_tangent,
     rr_oracle,
 )
-from supergrr.grr import _curve_todd, _shared_curve
+from supergrr.chowring import _pairing, _scalar
+from supergrr.grr import _curve_class, _curve_todd, _shared_curve
 from supergrr.suites import random_supercurve_instance
 
 
@@ -107,12 +110,17 @@ def test_gr_model_mismatch():
 
 
 def test_curve_todd_cache_is_bounded():
-    # the genus comes from outside the program, so its cache must not grow with it
+    # the genus and twist come from outside the program, so the caches must not grow with them
     for genus in range(100):
         curve = SplitSupercurve.susy(genus)
         bundle = bundle_on(curve, even=(1,))
         assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
+    for deg_l in range(-50, 50):
+        curve = SplitSupercurve(1, deg_l)
+        bundle = bundle_on(curve, even=(1,), odd=(deg_l,))
+        assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
     assert _curve_todd.cache_info().currsize <= 64
+    assert _curve_class.cache_info().currsize <= 64
 
 
 def test_susy_curves_are_shared():
@@ -152,6 +160,79 @@ def test_susy_refusals_keep_their_text_and_are_not_cached(genus, n_rr, error, te
         SplitSupercurve.susy(genus, n_rr)
     assert type(info.value) is error and str(info.value) == text
     assert _shared_curve.cache_info().currsize == 0
+
+
+# -- gr U = U (x) gr O, and chi_super's former route -------------------------------
+
+
+def chi_by_gr(curve, bundle):
+    """The former route of chi_super: ch(gr U) . td(T_X), with gr U built root by root."""
+    return _scalar(*_pairing(gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus)))
+
+
+def test_gr_module_is_the_tensor_with_gr_structure_sheaf():
+    # the roots agree as multisets; the two constructions list them in different orders
+    rng = random.Random(61)
+    for _ in range(1000):
+        curve, bundle = random_supercurve_instance(rng)
+        graded = gr_module(curve, bundle)
+        tensor = bundle.tensor(gr_module(curve, bundle_on(curve, even=(0,))))
+        assert sorted(graded.even_degs) == sorted(tensor.even_degs), (curve, bundle)
+        assert sorted(graded.odd_degs) == sorted(tensor.odd_degs), (curve, bundle)
+
+
+def test_chi_super_is_its_former_route_on_random_draws():
+    # the draws of the tensor test above
+    rng = random.Random(61)
+    for _ in range(1000):
+        curve, bundle = random_supercurve_instance(rng)
+        assert chi_super(curve, bundle) == chi_by_gr(curve, bundle), (curve, bundle)
+
+
+def restricted_tangent_cases():
+    """(curve, target) for every criterion-1 sweep point, then the 700 custom targets
+    of test_vdim_assembled_is_its_definition, drawn the same way from the same seed."""
+    sweep = itertools.product(range(4), range(5), (0, 2, 4, 6), range(1, 5), range(4), range(4))
+    cases = [
+        (SplitSupercurve.susy(g, n_rr), TargetSpec.psuper(r, s, d))
+        for g, _n_ns, n_rr, r, s, d in sweep
+    ]
+    rng = random.Random(2026)
+    for _ in range(700):
+        s = rng.randint(0, 4)
+        tau = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        phi_int = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if s else Fraction(0)
+        params = ModuliParams(rng.randint(0, 5), rng.randint(0, 5), 2 * rng.randint(0, 4))
+        target = TargetSpec(rng.randint(1, 5), s, tau, phi_int)
+        cases.append((SplitSupercurve.susy(params.g, params.n_rr), target))
+    return cases
+
+
+def test_chi_super_is_its_former_route_on_restricted_tangents():
+    cases = restricted_tangent_cases()
+    assert len(cases) == 5120 + 700
+    for curve, target in cases:
+        bundle = pullback_tangent(curve, target)
+        assert chi_super(curve, bundle) == chi_by_gr(curve, bundle), (curve, target)
+
+
+def test_curve_class_is_the_integrand_of_the_structure_sheaf():
+    # ch(gr O) = 1 - P e^(deg L w), so the class is (1 - P e^(deg L w)) . td(T_X)
+    for g in range(4):
+        for deg_l in range(-3, 4):
+            model = ChowModel.curve(g)
+            structure = GradedElement.from_coeffs(
+                model, [SuperScalar(1, -1), SuperScalar(0, -deg_l)]
+            )
+            assert _curve_class(g, deg_l) == structure.ring_mul(_curve_todd(g))
+
+
+def test_chi_super_refuses_a_bundle_on_another_curve():
+    for g in range(4):
+        curve = SplitSupercurve.susy(g)
+        other = SuperBundle.from_degrees(ChowModel.curve(g + 1), (0,), (1,))
+        with pytest.raises(ModelMismatch):
+            chi_super(curve, other)
 
 
 # -- Euler characteristics ---------------------------------------------------------
@@ -382,8 +463,11 @@ def test_supercurve_reads_exact_twist():
 def test_serre_duality_on_the_split_supercurve():
     """chi_S(U^dual (x) Ber) = -chi_S(U), with Ber = Pi(omega_C (x) L^-1) of rank 0|1.
 
-    Its odd degree 2g - 2 - deg L pins the twist convention of gr_module:
-    one more or one less breaks the identity on some draw.
+    Its odd degree 2g - 2 - deg L pins the even-root twist of gr_module,
+    which chi_super takes through _curve_class (ch(gr O) twists only the
+    even root 0): one more or one less breaks the identity on some draw.
+    The odd-root rule is pinned by criterion 3, where rr_oracle reads it
+    from gr_module and chi_super from the tensor identity gr U = U (x) gr O.
     """
     rng = random.Random(42)
     shifted_holds = {-1: True, 1: True}
