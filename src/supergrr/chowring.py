@@ -33,9 +33,11 @@ such kernels, shared with superbundle's exp recurrence and power sums,
 and _sum_source writes their sums.  The source holds only names,
 operators and indices; a constant reaches a kernel through its
 namespace, since int to str conversion refuses more than 4300 digits.
-A kernel costs O(top**2) once: about 4 ms for all kernels of P^1..P^6
-together, 0.24 s and a compiler peak near 50 MB for a width-257
-convolution.
+A kernel costs O(top**2) once.  All class kernels of P^1..P^6 together
+(this convolution, and superbundle's exp recurrence and power sums)
+compile in about 2.5 ms on first use (2.1-2.9 ms over 9 fresh
+processes, CPython 3.11); a width-257 convolution takes 0.24 s and a
+compiler peak near 50 MB.
 
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs

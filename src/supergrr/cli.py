@@ -169,8 +169,13 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
         if match is None:
             raise CliError(f"argument --{flag}: invalid range chunk {chunk!r}, expected N or N..M")
         lo, hi = match.groups()
-        chunks.append(range(int(lo), int(hi or lo) + 1))
-    if not any(chunks):
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise CliError(
+                f"argument --{flag}: reversed range chunk {chunk!r}, expected N..M with N <= M"
+            )
+        chunks.append(range(lo, hi + 1))
+    if not chunks:
         raise CliError(f"argument --{flag}: empty range {text!r}")
     return tuple(chunks)
 
@@ -290,7 +295,7 @@ def _cmd_table(args) -> int:
     # Every constraint but the parity of n_rr is a lower bound, so the
     # smallest value of each flag fails whenever any row would; a chunk of
     # n_rr holds an odd value iff one of its first two values is odd.
-    lowest = [min(chunk.start for chunk in axis if chunk) for axis in axes]
+    lowest = [min(chunk.start for chunk in axis) for axis in axes]
     for n_rr in itertools.chain.from_iterable(chunk[:2] for chunk in axes[2]):
         ModuliParams(*lowest[:2], n_rr)
     TargetSpec.psuper(*lowest[3:])

@@ -75,8 +75,7 @@ class SplitSupercurve(Value):
     @staticmethod
     def susy(genus: int, n_rr: int = 0) -> "SplitSupercurve":
         """The shared curve with spin twist deg L = g - 1 + n_rr/2, n_rr a Ramond count."""
-        genus, n_rr = parse_int(genus, "genus"), parse_ramond_count(n_rr)
-        return _shared_curve(genus, genus - 1 + n_rr // 2)
+        return _susy_curve(parse_int(genus, "genus"), parse_ramond_count(n_rr))
 
     @property
     def model(self) -> ChowModel:
@@ -86,6 +85,11 @@ class SplitSupercurve(Value):
 
 # keyed on a parsed genus and its twist, so refused input never reaches the cache
 _shared_curve = lru_cache(maxsize=64)(SplitSupercurve)
+
+
+def _susy_curve(genus: int, n_rr: int) -> SplitSupercurve:
+    """The shared curve of a parsed genus and Ramond count: deg L = g - 1 + n_rr/2."""
+    return _shared_curve(genus, genus - 1 + n_rr // 2)
 
 
 def gr_module(curve: SplitSupercurve, bundle: SuperBundle) -> SuperBundle:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chowring import _scalar, common_denominator
-from .grr import SplitSupercurve, _chi_values, parse_ramond_count
+from .grr import SplitSupercurve, _chi_values, _susy_curve, parse_ramond_count
 from .superbundle import SuperBundle
 from .superscalar import (
     SuperScalar,
@@ -239,7 +239,7 @@ def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     Both in integers at P = +1 and -1 (chi_gauge = E - P O is E - O and E + O)
     until one SuperScalar; target data no bundle realizes raises InvalidRank.
     """
-    curve = SplitSupercurve.susy(params.g, params.n_rr)
+    curve = _susy_curve(params.g, params.n_rr)  # both parsed by ModuliParams
     plus, minus, den = _chi_values(curve, pullback_tangent(curve, target))
     even, odd = _gauge_counts(params)
     return _scalar(plus - den * (even - odd), minus - den * (even + odd), den)

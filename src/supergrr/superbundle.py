@@ -57,8 +57,8 @@ The power sums and the exp recurrence of td, sigma_1 and its inverse
 run as straight-line kernels, generated and compiled by chowring's
 _compile_kernel on first use, once per size alone: per top degree for
 the power sums, per width for the recurrence; R lives in the rows.  A
-kernel costs O(top**2) once, about 2 ms for all kernels of P^1..P^6
-together, and stays below the cost of the rows it is built for: at top
+kernel costs O(top**2) once (chowring's docstring gives the figure for
+P^1..P^6), and stays below the cost of the rows it is built for: at top
 256 the recurrence compiles in 0.25 s, _todd_rows takes about 0.9 s.
 """
 
@@ -146,11 +146,11 @@ class SuperBundle(Value):
 
     def chern_character(self) -> GradedElement:
         """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
-        top = self.model.top_degree
+        power_sums = _power_sum_kernel(self.model.top_degree)
+        even = power_sums(self.even)
         if not self.odd:  # equal at P = +1 and P = -1
-            (even,) = _power_sums(top, self.even)
             return _over_factorials(self.model, even, even, self.denominator)
-        even, odd = _power_sums(top, self.even, self.odd)
+        odd = power_sums(self.odd)
         return _over_factorials(
             self.model,
             [a - m for a, m in zip(even, odd)],
@@ -185,7 +185,8 @@ class SuperBundle(Value):
     def todd(self) -> GradedElement:
         """Multiplicative Todd character, 2**s * exp(tau . p(a) + upsilon . p(m))."""
         top = self.model.top_degree
-        even, odd = _power_sums(top, self.even, self.odd)
+        power_sums = _power_sum_kernel(top)
+        even, odd = power_sums(self.even), power_sums(self.odd)
         row_den, tau, upsilon = _todd_rows(top)
         exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
         den = row_den * self.denominator
@@ -208,7 +209,7 @@ class SuperBundle(Value):
         if self.even:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
         top = self.model.top_degree
-        (odd,) = _power_sums(top, self.odd)
+        odd = _power_sum_kernel(top)(self.odd)
         row_den, row = _sigma1_row(top)
         return [u * m for u, m in zip(row, odd)], row_den * self.denominator
 
@@ -299,20 +300,11 @@ def _parse_degrees(model: ChowModel, values) -> list[Fraction | int]:
 # -- rational series in the generator ---------------------------------------------
 
 
-def _power_sums(top: int, *numerator_lists: Numerators) -> list[list[int]]:
-    """Per list of degree numerators n_i, the integer power sums sum_i n_i**k for k = 0..top.
-
-    Over the bundle's denominator D these are D**k * p_k of the degrees;
-    p_0 is their count.
-    """
-    kernel = _power_sum_kernel(top)
-    return [kernel(numerators) for numerators in numerator_lists]
-
-
 @lru_cache(maxsize=64)
 def _power_sum_kernel(top: int):
     """power_sums(numerators): [count, sum n, sum n**2, .., sum n**top], unrolled.
 
+    Over a bundle's denominator D these are D**k * p_k of its degrees.
     One pass per root multiplies its powers up once each.  A point or a
     curve (top <= 1) takes the count and one C-level sum instead, at half
     the cost of the pass on the calculator's hot path.  Compiled on first

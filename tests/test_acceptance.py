@@ -6,7 +6,6 @@ the computational core.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
 
-import itertools
 import json
 import time
 from fractions import Fraction
@@ -26,12 +25,15 @@ from supergrr import (
 from supergrr.cli import main as cli_main
 from supergrr.suites import IDENTITY_SUITES, run_sgrr_sweep
 
-SWEEP = list(
-    itertools.product(range(4), range(5), (0, 2, 4, 6), range(1, 5), range(4), range(4))
-)
+from shared import SWEEP
 
 
-def report(flag: bool, label: str) -> None:
+def report(flag: bool, label: str, firsts: dict | None = None) -> None:
+    """The PASS or FAIL line; a FAIL line also names each check's first failing point."""
+    if not flag and firsts:
+        label += "; first failure: " + ", ".join(
+            f"{check} at {points[0]}" for check, points in firsts.items() if points
+        )
     print(f"[{'PASS' if flag else 'FAIL'}] {label}")
     assert flag, label
 
@@ -50,36 +52,42 @@ def test_criterion_1_closed_vs_assembled_sweep():
         ok,
         f"criterion 1: closed = assembled on {len(SWEEP)} sweep points "
         f"({len(mismatches)} mismatches, {elapsed:.2f}s < 10s)",
+        {"(g, n_ns, n_rr, r, s, d)": mismatches},
     )
 
 
 def test_criterion_2_reported_formula_reproduction():
-    gauge_ok = all(
-        chi_gauge(ModuliParams(g)) == SuperScalar(3 - 3 * g, -(2 - 2 * g))
-        for g in range(6)
-    )
+    gauge = [
+        g for g in range(6) if chi_gauge(ModuliParams(g)) != SuperScalar(3 - 3 * g, -(2 - 2 * g))
+    ]
 
-    bosonic_target_ok = True
+    bosonic_target = []
     for g in range(4):
         for r in range(1, 5):
             for d in range(4):
                 tau = Fraction(d * (r + 1))
                 expected = SuperScalar((1 - g) * (r - 3) + tau, -(2 * g - 2) - tau)
-                got = vdim_closed(ModuliParams(g), TargetSpec.psuper(r, 0, d))
-                bosonic_target_ok &= got == expected
+                if vdim_closed(ModuliParams(g), TargetSpec.psuper(r, 0, d)) != expected:
+                    bosonic_target.append((g, r, d))
 
-    reduction_ok = all(
-        bosonic_dimension(ModuliParams(*p[:3]), TargetSpec.psuper(*p[3:]))
-        == vdim_closed(ModuliParams(*p[:3]), TargetSpec.psuper(*p[3:])).body
+    reduction = [
+        p
         for p in SWEEP
-    )
+        if bosonic_dimension(ModuliParams(*p[:3]), TargetSpec.psuper(*p[3:]))
+        != vdim_closed(ModuliParams(*p[:3]), TargetSpec.psuper(*p[3:])).body
+    ]
 
-    ok = gauge_ok and bosonic_target_ok and reduction_ok
+    gauge_ok, bosonic_target_ok, reduction_ok = not gauge, not bosonic_target, not reduction
     report(
-        ok,
+        gauge_ok and bosonic_target_ok and reduction_ok,
         "criterion 2: gauge Euler data (g in 0..5), bosonic-target "
         f"specialization term-by-term ({gauge_ok}, {bosonic_target_ok}), "
         f"even part = reduced dimension on all sweep points ({reduction_ok})",
+        {
+            "gauge g": gauge,
+            "bosonic target (g, r, d)": bosonic_target,
+            "reduction (g, n_ns, n_rr, r, s, d)": reduction,
+        },
     )
 
 
@@ -131,6 +139,7 @@ def test_criterion_5_bosonic_sanity_oracle():
         not failures,
         f"criterion 5: integral of e^(kh) td(P^r) = C(k+r, r) for r in 1..4, "
         f"k in -3..6 ({len(failures)} failures)",
+        {"(r, k)": failures},
     )
 
 

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import example, given
@@ -24,14 +23,12 @@ from supergrr.chowring import (
     lowest_terms,
 )
 
+from shared import elt, models
+
 POINT = ChowModel.point()
 CURVE2 = ChowModel.curve(2)
 P2 = ChowModel.proj_space(2)
 P3 = ChowModel.proj_space(3)
-
-
-def eltc(model, *coeffs):
-    return GradedElement.from_coeffs(model, coeffs)
 
 
 # -- models -------------------------------------------------------------------
@@ -91,18 +88,18 @@ def test_model_json_round_trip():
 
 
 def test_curve_square_truncates():
-    one_plus_w = eltc(CURVE2, 1, 1)
-    assert one_plus_w.ring_mul(one_plus_w) == eltc(CURVE2, 1, 2)
+    one_plus_w = elt(CURVE2, 1, 1)
+    assert one_plus_w.ring_mul(one_plus_w) == elt(CURVE2, 1, 2)
 
 
 def test_projspace_binomial():
-    x = eltc(P2, 1, 1, 0)
-    assert x.ring_mul(x) == eltc(P2, 1, 2, 1)
+    x = elt(P2, 1, 1, 0)
+    assert x.ring_mul(x) == elt(P2, 1, 2, 1)
 
 
 def test_pi_plus_w_times_pi_minus_w():
-    x = eltc(CURVE2, PI, 1)
-    y = eltc(CURVE2, PI, -1)
+    x = elt(CURVE2, PI, 1)
+    y = elt(CURVE2, PI, -1)
     assert x.ring_mul(y) == GradedElement.one(CURVE2)
 
 
@@ -212,11 +209,11 @@ def test_a_sum_of_thousands_of_terms_compiles():
 
 
 def test_series_invert_curve():
-    assert eltc(CURVE2, 1, 1).series_invert() == eltc(CURVE2, 1, -1)
+    assert elt(CURVE2, 1, 1).series_invert() == elt(CURVE2, 1, -1)
 
 
 def test_series_invert_shifted():
-    assert eltc(CURVE2, 2, 1).series_invert() == eltc(
+    assert elt(CURVE2, 2, 1).series_invert() == elt(
         CURVE2, Fraction(1, 2), Fraction(-1, 4)
     )
 
@@ -224,7 +221,7 @@ def test_series_invert_shifted():
 def test_series_invert_rejects_zero_divisor_lead():
     # 1 + class of an odd line bundle: leading coefficient 1 - P
     lead = SuperScalar(1, -1)
-    element = eltc(CURVE2, lead, SuperScalar(0, -3))
+    element = elt(CURVE2, lead, SuperScalar(0, -3))
     with pytest.raises(NotInvertible):
         element.series_invert()
 
@@ -249,17 +246,17 @@ def test_series_invert_round_trip():
 
 def test_exp_on_curve():
     w = GradedElement.from_coeffs(CURVE2, (0, 1))
-    assert w.scale(5).exp_nilpotent() == eltc(CURVE2, 1, 5)
+    assert w.scale(5).exp_nilpotent() == elt(CURVE2, 1, 5)
 
 
 def test_exp_on_p2():
     h = GradedElement.from_coeffs(P2, (0, 1))
-    assert h.exp_nilpotent() == eltc(P2, 1, 1, Fraction(1, 2))
+    assert h.exp_nilpotent() == elt(P2, 1, 1, Fraction(1, 2))
 
 
 def test_exp_on_p3():
     h = GradedElement.from_coeffs(P3, (0, 1))
-    assert h.scale(2).exp_nilpotent() == eltc(P3, 1, 2, 2, Fraction(4, 3))
+    assert h.scale(2).exp_nilpotent() == elt(P3, 1, 2, 2, Fraction(4, 3))
 
 
 def test_exp_requires_nilpotent():
@@ -269,8 +266,8 @@ def test_exp_requires_nilpotent():
 
 def test_exp_general_input():
     # element with parts in several degrees takes the generic route
-    x = eltc(P3, 0, 1, 1, 0)
-    assert x.exp_nilpotent() == eltc(P3, 1, 1, Fraction(3, 2), Fraction(7, 6))
+    x = elt(P3, 0, 1, 1, 0)
+    assert x.exp_nilpotent() == elt(P3, 1, 1, Fraction(3, 2), Fraction(7, 6))
 
 
 def test_exp_additivity():
@@ -290,7 +287,7 @@ def test_exp_additivity():
 
 
 def test_integrate_curve():
-    assert eltc(CURVE2, 3, 5).integrate() == SuperScalar(5)
+    assert elt(CURVE2, 3, 5).integrate() == SuperScalar(5)
 
 
 def test_integrate_point():
@@ -298,14 +295,7 @@ def test_integrate_point():
     assert GradedElement.from_coeffs(POINT, [s]).integrate() == s
 
 
-INTEGRATION_MODELS = (
-    [POINT]
-    + [ChowModel.curve(g) for g in range(4)]
-    + [ChowModel.proj_space(r) for r in range(1, 7)]
-)
-
-
-@pytest.mark.parametrize("model", INTEGRATION_MODELS, ids=str)
+@pytest.mark.parametrize("model", models(6), ids=str)
 def test_integrate_product_is_the_integral_of_the_product(model):
     # fractional bodies and souls in every coefficient
     rng = random.Random(str(model))
@@ -315,7 +305,7 @@ def test_integrate_product_is_the_integral_of_the_product(model):
 
 
 def test_integrate_product_builds_no_element(monkeypatch):
-    a, b = eltc(P3, 1, Fraction(1, 2), 0, 3), eltc(P3, SuperScalar(2, Fraction(-1, 3)), 0, 5)
+    a, b = elt(P3, 1, Fraction(1, 2), 0, 3), elt(P3, SuperScalar(2, Fraction(-1, 3)), 0, 5)
     expected = a.ring_mul(b).integrate()
 
     def refuse(*args):
@@ -336,37 +326,11 @@ def test_integrate_product_refuses_different_models(a, b):
         integrate_product(GradedElement.one(a), GradedElement.one(b))
 
 
-def binomial(k, r):
-    """C(k+r, r) as a product, valid for negative k as well."""
-    out = Fraction(1)
-    for i in range(1, r + 1):
-        out *= Fraction(k + i, i)
-    return out
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-@pytest.mark.parametrize("k", range(-3, 7))
-def test_hirzebruch_riemann_roch_on_projspace(r, k):
-    """integral of e**(k h) td(P^r) equals the binomial C(k+r, r)."""
-    model = ChowModel.proj_space(r)
-    h = GradedElement.from_coeffs(model, (0, 1))
-    todd_factor_series = GradedElement.from_coeffs(
-        model,
-        [Fraction((-1) ** i, factorial(i + 1)) for i in range(r + 1)],
-    )
-    td = GradedElement.one(model)
-    factor = todd_factor_series.series_invert()
-    for _ in range(r + 1):
-        td = td.ring_mul(factor)
-    value = h.scale(k).exp_nilpotent().ring_mul(td).integrate()
-    assert value == SuperScalar(binomial(k, r))
-
-
 # -- misc ------------------------------------------------------------------------
 
 
 def test_coefficient_accessor():
-    x = eltc(CURVE2, 1, 2)
+    x = elt(CURVE2, 1, 2)
     assert x.coefficient(0) == SuperScalar(1)
     assert x.coefficient(1) == SuperScalar(2)
     assert x.coefficient(5) == SuperScalar(0)
@@ -388,7 +352,7 @@ def test_from_coeffs_refuses_bools():
 
 
 def test_json_round_trip():
-    x = eltc(CURVE2, SuperScalar(1, -1), SuperScalar(Fraction(1, 2), 3))
+    x = elt(CURVE2, SuperScalar(1, -1), SuperScalar(Fraction(1, 2), 3))
     blob = json.dumps(x.to_json())
     assert GradedElement.from_json(json.loads(blob)) == x
     assert json.loads(blob)["model"] == {"kind": "curve", "genus": 2}

@@ -687,6 +687,21 @@ def test_table_names_flag_and_chunk_of_bad_range(capsys, chunk):
     assert err == f"error: argument --s: invalid range chunk {chunk!r}, expected N or N..M\n"
 
 
+@pytest.mark.parametrize("rr", ["0,4..2", "4..2", "4..2,0"])
+def test_table_refuses_a_reversed_range_chunk(capsys, rr):
+    # beside other chunks too: never read as an empty chunk and dropped
+    code, out, err = run_cli(capsys, "table", "--rr", rr)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: argument --rr: reversed range chunk '4..2', expected N..M with N <= M\n"
+    )
+
+
+def test_table_refuses_a_range_with_no_chunk(capsys):
+    code, out, err = run_cli(capsys, "table", "--rr", " , ")
+    assert (code, out, err) == (1, "", "error: argument --rr: empty range ' , '\n")
+
+
 def test_parse_range_keeps_chunks_as_ranges():
     # a range this long would take hundreds of gigabytes as a list
     assert _parse_range("g", "0..100000000000, 7") == (range(0, 100000000001), range(7, 8))

@@ -30,11 +30,9 @@ from supergrr import (
 )
 from supergrr.ktheory import _sigma1_classes
 
-MODELS = (
-    [ChowModel.point()]
-    + [ChowModel.curve(g) for g in range(4)]
-    + [ChowModel.proj_space(r) for r in range(1, 9)]
-)
+from shared import models
+
+MODELS = models(8)
 
 
 # -- the per-root oracle --------------------------------------------------------

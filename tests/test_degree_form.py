@@ -27,11 +27,9 @@ from supergrr import (
     rr_oracle,
 )
 
-MODELS = (
-    [ChowModel.point()]
-    + [ChowModel.curve(g) for g in range(4)]
-    + [ChowModel.proj_space(r) for r in range(1, 7)]
-)
+from shared import models
+
+MODELS = models(6)
 
 
 # -- the tuple-of-Fraction reference ---------------------------------------------

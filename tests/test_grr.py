@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,6 +24,8 @@ from supergrr import (
 from supergrr.chowring import _pairing, _scalar
 from supergrr.grr import _curve_class, _curve_todd, _shared_curve
 from supergrr.suites import random_supercurve_instance
+
+from shared import CUSTOM_TARGETS, SWEEP
 
 
 def bundle_on(curve, even=(), odd=()):
@@ -191,20 +192,12 @@ def test_chi_super_is_its_former_route_on_random_draws():
 
 def restricted_tangent_cases():
     """(curve, target) for every criterion-1 sweep point, then the 700 custom targets
-    of test_vdim_assembled_is_its_definition, drawn the same way from the same seed."""
-    sweep = itertools.product(range(4), range(5), (0, 2, 4, 6), range(1, 5), range(4), range(4))
+    of test_vdim_assembled_is_its_definition."""
     cases = [
         (SplitSupercurve.susy(g, n_rr), TargetSpec.psuper(r, s, d))
-        for g, _n_ns, n_rr, r, s, d in sweep
+        for g, _n_ns, n_rr, r, s, d in SWEEP
     ]
-    rng = random.Random(2026)
-    for _ in range(700):
-        s = rng.randint(0, 4)
-        tau = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        phi_int = Fraction(rng.randint(-40, 40), rng.randint(1, 12)) if s else Fraction(0)
-        params = ModuliParams(rng.randint(0, 5), rng.randint(0, 5), 2 * rng.randint(0, 4))
-        target = TargetSpec(rng.randint(1, 5), s, tau, phi_int)
-        cases.append((SplitSupercurve.susy(params.g, params.n_rr), target))
+    cases += [(SplitSupercurve.susy(p.g, p.n_rr), target) for p, target in CUSTOM_TARGETS]
     return cases
 
 
@@ -317,13 +310,6 @@ def test_sgrr_on_structure_sheaf():
         curve = SplitSupercurve.susy(g)
         bundle = bundle_on(curve, even=(0,))
         assert chi_super(curve, bundle) == rr_oracle(curve, bundle)
-
-
-def test_sgrr_randomized():
-    rng = random.Random(42)
-    for _ in range(500):
-        curve, bundle = random_supercurve_instance(rng)
-        assert chi_super(curve, bundle) == rr_oracle(curve, bundle), (curve, bundle)
 
 
 def test_character_form_equals_integral_form():

@@ -21,15 +21,13 @@ from supergrr import (
 from supergrr.chowring import integrate_product
 from supergrr.ktheory import _sigma1_classes
 
+from shared import elt, tangent_todd
+
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
 P2 = ChowModel.proj_space(2)
 # an ambient space equal to its bosonic reduction: no odd directions
 BOSONIC = NormalData(SuperBundle.zero(C2))
-
-
-def elt(model, *coeffs):
-    return GradedElement.from_coeffs(model, coeffs)
 
 
 def random_class(rng, model):
@@ -141,15 +139,6 @@ def test_star_is_plain_product_on_bosonic():
         assert star_product(x, y, nd) == x * y
 
 
-def test_j_is_ring_morphism_to_star():
-    rng = random.Random(11)
-    for _ in range(200):
-        model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x, y = random_class(rng, model), random_class(rng, model)
-        assert star_product(j_map(x, nd), j_map(y, nd), nd) == j_map(x * y, nd)
-
-
 def test_star_associative_commutative():
     rng = random.Random(13)
     for _ in range(150):
@@ -165,30 +154,10 @@ def test_star_associative_commutative():
 # -- twisted character ----------------------------------------------------------------
 
 
-def test_twisted_character_splits_j():
-    rng = random.Random(17)
-    for _ in range(200):
-        model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x = random_class(rng, model)
-        assert ch_twisted(j_map(x, nd), nd) == x.ch_image
-
-
 def test_twisted_character_on_bosonic_is_plain():
     nd = BOSONIC
     x = KClass(elt(C2, SuperScalar(2, 1), SuperScalar(0, -3)))
     assert ch_twisted(x, nd) == x.ch_image
-
-
-def test_twisted_character_multiplicative_for_star():
-    rng = random.Random(19)
-    for _ in range(200):
-        model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x, y = random_class(rng, model), random_class(rng, model)
-        lhs = ch_twisted(star_product(x, y, nd), nd)
-        rhs = ch_twisted(x, nd).ring_mul(ch_twisted(y, nd))
-        assert lhs == rhs
 
 
 # -- pushforward identity along the canonical embedding ----------------------------------
@@ -232,17 +201,12 @@ def chi_split(r, s, k):
     return sum(terms[0::2]), -sum(terms[1::2])
 
 
-def tangent_todd(model):
-    """td(T P^r) = td(O(1)**(r+1))."""
-    return SuperBundle.from_degrees(model, [1] * (model.top_degree + 1)).todd()
-
-
 @pytest.mark.parametrize("r", range(1, 5))
 @pytest.mark.parametrize("s", range(4))
 def test_riemann_roch_of_a_line_on_split_projective_superspace(r, s):
     # the class route, integral ch(gr O(k)) td(T P^r), against the binomial route
     model = ChowModel.proj_space(r)
-    todd = tangent_todd(model)
+    todd = tangent_todd(r)
     for k in range(-6, 7):
         pieces = [[k - j] * comb(s, j) for j in range(s + 1)]
         graded = SuperBundle.from_degrees(model, sum(pieces[0::2], []), sum(pieces[1::2], []))
@@ -255,7 +219,7 @@ def test_riemann_roch_of_a_line_on_split_projective_superspace(r, s):
 def test_j_map_of_a_line_on_split_projective_superspace_forgets_parity(r, s):
     # sigma_1 carries no P, so j(ch O(k)) integrates to body - soul of chi_S(gr O(k))
     model = ChowModel.proj_space(r)
-    todd = tangent_todd(model)
+    todd = tangent_todd(r)
     nd = NormalData.from_degrees(model, [-1] * s)
     for k in range(-6, 7):
         twisted = j_map(KClass(SuperBundle.from_degrees(model, [k]).chern_character()), nd)

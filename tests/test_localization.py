@@ -30,6 +30,8 @@ import pytest
 from supergrr import ChowModel, SuperBundle
 from supergrr.chowring import integrate_product
 
+from shared import tangent_todd
+
 # -- power series in t, truncated after t**r, over Fractions ----------------------------
 
 
@@ -127,7 +129,7 @@ def degree(rng):
 def test_classes_match_bott_sum(r):
     rng = random.Random(f"localization P^{r}")
     model = ChowModel.proj_space(r)
-    tangent_td = SuperBundle.from_degrees(model, [1] * (r + 1)).todd()  # T = O(1)**(r+1) - O
+    tangent_td = tangent_todd(r)
     for _ in range(5):
         even = [degree(rng) for _ in range(rng.randint(0, 3))]
         odd = [degree(rng) for _ in range(rng.randint(0, 3))]

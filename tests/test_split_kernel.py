@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 
 from supergrr import ZERO, ChowModel, GradedElement, NotInvertible, SuperScalar
 
-MODELS = (
-    [ChowModel.point()]
-    + [ChowModel.curve(g) for g in range(4)]
-    + [ChowModel.proj_space(r) for r in range(1, 9)]
-)
+from shared import models
+
+MODELS = models(8)
 
 
 # -- the per-coefficient reference ----------------------------------------------

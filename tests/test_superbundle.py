@@ -1,8 +1,6 @@
 import json
-import random
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -18,35 +16,24 @@ from supergrr import (
     PI,
     SuperBundle,
     SuperScalar,
-    pi_power,
 )
 from supergrr.chowring import integrate_product
 from supergrr.superbundle import (
     _exp_kernel,
     _factorial_weights,
     _over_factorials,
-    _power_sums,
+    _power_sum_kernel,
     _scaled_exp,
     _sigma1_row,
     _todd_rows,
     _weighted_row,
 )
 
+from shared import elt, tangent_todd
+
 C0 = ChowModel.curve(0)
 C2 = ChowModel.curve(2)
 P3 = ChowModel.proj_space(3)
-
-
-def elt(model, *coeffs):
-    return GradedElement.from_coeffs(model, coeffs)
-
-
-def random_bundle(rng, model, max_rank=3, bound=5):
-    return SuperBundle.from_degrees(
-        model,
-        [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_rank))],
-        [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_rank))],
-    )
 
 
 # -- construction / validation --------------------------------------------------
@@ -216,56 +203,12 @@ def test_dual_negates_degrees():
 # -- identity properties ----------------------------------------------------------------
 
 
-def test_whitney_randomized():
-    rng = random.Random(23)
-    for _ in range(150):
-        model = rng.choice([C0, C2, ChowModel.proj_space(2), P3])
-        E, F = random_bundle(rng, model), random_bundle(rng, model)
-        assert E.direct_sum(F).chern_total() == E.chern_total().ring_mul(F.chern_total())
-
-
-def test_character_additive_and_multiplicative():
-    rng = random.Random(29)
-    for _ in range(150):
-        model = rng.choice([C0, C2, ChowModel.proj_space(2)])
-        E, F = random_bundle(rng, model, max_rank=2), random_bundle(rng, model, max_rank=2)
-        assert E.direct_sum(F).chern_character() == E.chern_character() + F.chern_character()
-        assert E.tensor(F).chern_character() == E.chern_character().ring_mul(
-            F.chern_character()
-        )
-
-
-def test_parity_shift_character_rule():
-    rng = random.Random(31)
-    for _ in range(150):
-        model = rng.choice([C0, C2, P3])
-        E = random_bundle(rng, model)
-        assert E.pi_shift().chern_character() == E.chern_character().scale(-PI)
-
-
-def test_c1_parity_rule():
-    rng = random.Random(37)
-    for _ in range(150):
-        model = rng.choice([C0, C2, P3])
-        E = random_bundle(rng, model)
-        r, s = E.rank
-        assert E.pi_shift().c1() == -E.c1() * pi_power(r + s)
-
-
 def test_c1_duality_on_lines():
     for deg in range(-5, 6):
         even_line = SuperBundle.from_degrees(C2, (deg,), ())
         odd_line = SuperBundle.from_degrees(C2, (), (deg,))
         assert even_line.dual().c1() == -even_line.c1()
         assert odd_line.dual().c1() == -odd_line.c1()
-
-
-def test_todd_multiplicative():
-    rng = random.Random(41)
-    for _ in range(150):
-        model = rng.choice([C0, C2, ChowModel.proj_space(2)])
-        E, F = random_bundle(rng, model), random_bundle(rng, model)
-        assert E.direct_sum(F).todd() == E.todd().ring_mul(F.todd())
 
 
 def test_factorial_weights_cache_is_bounded():
@@ -294,19 +237,10 @@ NUMERATORS = st.lists(
 def test_power_sums_are_their_definition(top, lists):
     # both branches, top <= 1 (a point or a curve) and the compiled kernel of each
     # top >= 2 (P^r), give top + 1 sums per list
-    assert _power_sums(top, *lists) == [
+    power_sums = _power_sum_kernel(top)
+    assert [power_sums(numerators) for numerators in lists] == [
         [sum(n**k for n in numerators) for k in range(top + 1)] for numerators in lists
     ]
-
-
-def test_todd_equals_sigma1_of_dual_on_purely_odd():
-    rng = random.Random(43)
-    for _ in range(150):
-        model = rng.choice([C0, C2, P3])
-        E = SuperBundle.from_degrees(
-            model, (), [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
-        )
-        assert E.todd() == E.dual().sigma1()
 
 
 # -- the compiled kernels against their definitions --------------------------------
@@ -413,12 +347,6 @@ def test_td_and_sigma1_share_one_exp_kernel_per_width():
 
 
 # -- large top degrees: kernel constants come from the namespace, not the source --------
-
-
-@lru_cache(maxsize=2)
-def tangent_todd(k):
-    """td(T P^k) = td(O(1)**(k+1)), since T P^k + O = O(1)**(k+1); about 1 s at k = 100."""
-    return SuperBundle.from_degrees(ChowModel.proj_space(k), [1] * (k + 1)).todd()
 
 
 @pytest.mark.parametrize("k", [64, 100])
