@@ -365,14 +365,23 @@ def check_model(a, b) -> None:
 
 def integrate_product(a: GradedElement, b: GradedElement) -> SuperScalar:
     """The integral of a.ring_mul(b), paired degree by degree without building the product."""
-    return _scalar(*_pairing(a, b))
-
-
-def _pairing(a: GradedElement, b: GradedElement) -> tuple[int, int, int]:
-    """integrate_product's sums of a_i * b_(top - i) at P = +1 and -1, over one denominator."""
     check_model(a, b)
-    plus, minus = sum(map(mul, a.plus, b.plus[::-1])), sum(map(mul, a.minus, b.minus[::-1]))
-    return plus, minus, a.denominator * b.denominator
+    return _scalar(*_pairing(a.plus, a.minus, a.denominator, b))
+
+
+def _pairing(
+    plus: Sequence[int], minus: Sequence[int], denominator: int, b: GradedElement
+) -> tuple[int, int, int]:
+    """The integral of (plus, minus) / denominator times b, at P = +1 and -1 over one denominator.
+
+    The sums of a_i * b_(top - i) per component; the numerator vectors
+    need not be reduced, and the caller checks that both share a model.
+    """
+    return (
+        sum(map(mul, plus, b.plus[::-1])),
+        sum(map(mul, minus, b.minus[::-1])),
+        denominator * b.denominator,
+    )
 
 
 def align(a, b) -> tuple[int, int, int]:

@@ -15,7 +15,9 @@ td(T_X), built once per curve from gr_module, and componentwise classical
 Riemann-Roch (chi = deg + rank.(1-g)) on the even and odd parts of
 gr U, read from gr_module's root degrees.  Both are exact and must
 agree, and both return the super Euler characteristic chi_S(U) =
-chi(even part) - P chi(odd part) as a SuperScalar.
+chi(even part) - P chi(odd part) as a SuperScalar.  chi_super pairs
+ch(U) as the unreduced numerators that chern_character would reduce, so
+it builds no class and reduces only its one result.
 
 The twist deg L is an integer from construction, so gr needs no check
 of it.  SplitSupercurve.susy hands out one shared curve per genus and
@@ -128,8 +130,13 @@ def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
 
 
 def _chi_values(curve: SplitSupercurve, bundle: SuperBundle) -> tuple[int, int, int]:
-    """chi_super at P = +1 and P = -1, over one denominator: ch(U) against the curve's class."""
-    return _pairing(bundle.chern_character(), _curve_class(curve.genus, curve.deg_l))
+    """chi_super at P = +1 and P = -1, over one denominator: ch(U) against the curve's class.
+
+    ch(U) is paired as its unreduced numerators, so no class is built and
+    nothing is reduced before _scalar or vdim_assembled's one result.
+    """
+    check_model(bundle, curve)
+    return _pairing(*bundle._character_numerators(), _curve_class(curve.genus, curve.deg_l))
 
 
 def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

@@ -219,6 +219,11 @@ def vdim_closed(
     coefficient -[(1-g)(s-2) + n_ns + (n_rr/2)(r+1) + I], with I the
     degree integral of the target.  ``alternate_odd_sign`` switches the
     (s-2) factor to the printed variant (s+2).
+
+    I = tau - phi_int is the total degree of f*T, even and odd roots
+    together: d(r+1+s) on P^{r|s}.  It is not c_1(Ber) = d(r+1-s), so a
+    target with c_1(Ber) = 0 (P^{3|4}) still has a virtual dimension that
+    grows with d, by (r+1+s)(1 - P) per unit of degree.
     """
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     half = n_rr // 2

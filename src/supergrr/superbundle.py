@@ -48,6 +48,10 @@ its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
 sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
 components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
 and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
+ch's weighted numerators come from one helper, _character_numerators:
+chern_character reduces them into a class, and grr's chi_super pairs
+them unreduced with its cached curve class, so the calculator's path
+builds no ch and makes no gcd reduction.
 The power sums take one pass per root on P^r, adding n, n**2, .., n**top
 into one sum per degree.  A point or a curve (top <= 1) keeps the count
 and one sum: there the per-root loop would cost twice the C-level sum it
@@ -146,16 +150,27 @@ class SuperBundle(Value):
 
     def chern_character(self) -> GradedElement:
         """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
-        power_sums = _power_sum_kernel(self.model.top_degree)
+        return GradedElement(self.model, *lowest_terms(*self._character_numerators()))
+
+    def _character_numerators(self) -> tuple[list[int], list[int], int]:
+        """ch at P = +1 and P = -1 as integer numerators over top! * D**top, unreduced.
+
+        Degree k is (p_k(a) -+ p_k(m)) * top!/k! * D**(top-k).  With no odd
+        root both components are one list.  chern_character reduces them;
+        chi_super pairs them as they are.
+        """
+        top = self.model.top_degree
+        weights = _factorial_weights(top, self.denominator)
+        power_sums = _power_sum_kernel(top)
         even = power_sums(self.even)
         if not self.odd:  # equal at P = +1 and P = -1
-            return _over_factorials(self.model, even, even, self.denominator)
+            plus = [w * a for w, a in zip(weights, even)]
+            return plus, plus, weights[0]
         odd = power_sums(self.odd)
-        return _over_factorials(
-            self.model,
-            [a - m for a, m in zip(even, odd)],
-            [a + m for a, m in zip(even, odd)],
-            self.denominator,
+        return (
+            [w * (a - m) for w, a, m in zip(weights, even, odd)],
+            [w * (a + m) for w, a, m in zip(weights, even, odd)],
+            weights[0],
         )
 
     def chern_total(self) -> GradedElement:
@@ -322,16 +337,6 @@ def _power_sum_kernel(top: int):
     return _compile_kernel("power_sums", "numerators", lines)
 
 
-def _over_factorials(
-    model: ChowModel, plus: list[int], minus: list[int], den: int, divisor: int = 1
-) -> GradedElement:
-    """The element worth plus[k] / (divisor k! den**k) at P = +1 and minus[k] / (...) at P = -1."""
-    weights = _factorial_weights(model.top_degree, den)
-    weighted = [w * x for w, x in zip(weights, plus)]
-    other = weighted if minus is plus else [w * x for w, x in zip(weights, minus)]
-    return GradedElement(model, *lowest_terms(weighted, other, weights[0] * divisor))
-
-
 @lru_cache(maxsize=64)
 def _factorial_weights(top: int, den: int) -> tuple[int, ...]:
     """weights[k] = top!/k! * den**(top-k), which puts every degree over top! * den**top."""
@@ -353,10 +358,13 @@ def _scaled_exp(
     the rows carry it, and den is R * D.  Then f = exp(g) is
     f_k = F_k / (k! (R D)**k) with F_0 = 1 and
     F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j): the recurrence
-    k f_k = sum_j j g_j f_(k-j) cleared of denominators.
+    k f_k = sum_j j g_j f_(k-j) cleared of denominators, put over
+    divisor top! (R D)**top by the cached factorial weights.
     """
+    weights = _factorial_weights(model.top_degree, den)
     series = _exp_kernel(len(exponent))(exponent, scale)
-    return _over_factorials(model, series, series, den, divisor)
+    weighted = [w * f for w, f in zip(weights, series)]
+    return GradedElement(model, *lowest_terms(weighted, weighted, weights[0] * divisor))
 
 
 @lru_cache(maxsize=64)

@@ -20,8 +20,11 @@ from supergrr import (
     gr_module,
     pullback_tangent,
     rr_oracle,
+    vdim_assembled,
+    vdim_closed,
 )
-from supergrr.chowring import _pairing, _scalar
+from supergrr import chowring
+from supergrr.chowring import integrate_product
 from supergrr.grr import _curve_class, _curve_todd, _shared_curve
 from supergrr.suites import random_supercurve_instance
 
@@ -167,8 +170,11 @@ def test_susy_refusals_keep_their_text_and_are_not_cached(genus, n_rr, error, te
 
 
 def chi_by_gr(curve, bundle):
-    """The former route of chi_super: ch(gr U) . td(T_X), with gr U built root by root."""
-    return _scalar(*_pairing(gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus)))
+    """The former route of chi_super: ch(gr U) . td(T_X), with gr U built root by root.
+
+    ch(gr U) is the reduced class, paired by integrate_product.
+    """
+    return integrate_product(gr_module(curve, bundle).chern_character(), _curve_todd(curve.genus))
 
 
 def test_gr_module_is_the_tensor_with_gr_structure_sheaf():
@@ -207,6 +213,56 @@ def test_chi_super_is_its_former_route_on_restricted_tangents():
     for curve, target in cases:
         bundle = pullback_tangent(curve, target)
         assert chi_super(curve, bundle) == chi_by_gr(curve, bundle), (curve, target)
+
+
+def test_chi_super_is_its_former_route_on_fractional_multi_root_draws():
+    # up to 4|4 roots of degree p/q, q in 1..6, so D > 1 with several roots of each parity
+    rng = random.Random(67)
+
+    def degrees():
+        return [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+
+    denominators = set()
+    for _ in range(1000):
+        curve = SplitSupercurve(rng.randint(0, 3), rng.randint(-5, 5))
+        bundle = bundle_on(curve, degrees(), degrees())
+        denominators.add(bundle.denominator)
+        assert chi_super(curve, bundle) == chi_by_gr(curve, bundle), (curve, bundle)
+    assert max(denominators) >= 60
+
+
+def test_chi_super_builds_no_element_and_reduces_nothing(monkeypatch):
+    """ch(U) is paired as its unreduced numerators: no GradedElement, no lowest_terms.
+
+    Once each curve's class and Todd class are cached, the only reduction
+    left on the path is the Fraction of the result.
+    """
+    rng = random.Random(71)
+    chi_cases = [random_supercurve_instance(rng) for _ in range(50)]
+    fixed = [(0, 0, (3, "-1/2"), ("2/3",)), (2, 2, (1,), ()), (3, 4, (), ("5/4", -2))]
+    for g, n_rr, even, odd in fixed:
+        curve = SplitSupercurve.susy(g, n_rr)
+        chi_cases.append((curve, bundle_on(curve, even, odd)))
+    vdim_cases = [
+        (ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])) for point in SWEEP[::97]
+    ]
+    vdim_cases += CUSTOM_TARGETS[::35]
+    chi_expected = [rr_oracle(curve, bundle) for curve, bundle in chi_cases]
+    vdim_expected = [vdim_closed(params, target) for params, target in vdim_cases]
+    for curve, _ in chi_cases:
+        _curve_todd(curve.genus)
+        _curve_class(curve.genus, curve.deg_l)
+    for params, _ in vdim_cases:
+        curve = SplitSupercurve.susy(params.g, params.n_rr)
+        _curve_class(curve.genus, curve.deg_l)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chi_super path built or reduced a class")
+
+    monkeypatch.setattr(GradedElement, "__init__", refuse)
+    monkeypatch.setattr(chowring, "gcd", refuse)
+    assert [chi_super(curve, bundle) for curve, bundle in chi_cases] == chi_expected
+    assert [vdim_assembled(params, target) for params, target in vdim_cases] == vdim_expected
 
 
 def test_curve_class_is_the_integrand_of_the_structure_sheaf():

@@ -1,8 +1,10 @@
 import copy
+import itertools
 import json
 import pickle
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,19 @@ def test_vdim_closed_affine_slopes():
         assert v2 - v0 == d_ns + d_ns
 
 
+def test_degree_term_is_the_total_degree_not_c1_of_the_berezinian():
+    # on P^{3|4} c_1(Ber) = d(r + 1 - s) = 0, yet each unit of degree adds
+    # the total degree r + 1 + s = 8 of f*T to both parts
+    for g in range(4):
+        for n_rr in (0, 2):
+            params, curve = ModuliParams(g, 0, n_rr), SplitSupercurve.susy(g, n_rr)
+            for d in range(4):
+                target, step = TargetSpec.psuper(3, 4, d), TargetSpec.psuper(3, 4, d + 1)
+                assert pullback_tangent(curve, target).c1() == SuperScalar(0)
+                for route in (vdim_closed, vdim_assembled):
+                    assert route(params, step) - route(params, target) == SuperScalar(8, -8)
+
+
 def _ramond_message(n_rr):
     with pytest.raises(ValueError) as info:
         parse_ramond_count(n_rr)
@@ -336,6 +351,83 @@ def test_vdim_assembled_does_not_parse_the_ramond_count_again(monkeypatch):
 
     monkeypatch.setattr(grr, "parse_ramond_count", refuse)
     assert vdim_assembled(params, target) == vdim_closed(params, target)
+
+
+# -- degeneration laws ------------------------------------------------------------------
+#
+# For P^{r|s}, with dimensions written (even, odd): forgetting an NS
+# puncture, and the NS and Ramond nodes of Witten's notes on super Riemann
+# surfaces (arXiv:1209.2459), an NS node gluing with 1|0 parameters and a
+# Ramond node with 1|1.  Every point on both sides lies in the criterion-1
+# sweep.  The separating Ramond node needs an odd Ramond count on each
+# side, which ModuliParams refuses.
+
+
+@lru_cache(maxsize=1)
+def assembled_on_sweep() -> dict:
+    """vdim_assembled at each sweep point as (even, odd) int dimensions, each computed once."""
+    values = {}
+    for point in SWEEP:
+        value = vdim_assembled(ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:]))
+        assert value.body.denominator == value.soul.denominator == 1, (point, value)
+        values[point] = (value.body.numerator, -value.soul.numerator)
+    return values
+
+
+def test_forgetting_an_ns_puncture_adds_one_one():
+    vdim = assembled_on_sweep()
+    checked = 0
+    for (g, n_ns, n_rr, r, s, d), (even, odd) in vdim.items():
+        more = vdim.get((g, n_ns + 1, n_rr, r, s, d))
+        if more is not None:
+            assert more == (even + 1, odd + 1), (g, n_ns, n_rr, r, s, d)
+            checked += 1
+    assert checked == 4096
+
+
+def test_non_separating_ns_node():
+    # vdim(g, n_ns) = vdim(g - 1, n_ns + 2) - (r|s) + (1|0)
+    vdim = assembled_on_sweep()
+    checked = 0
+    for (g, n_ns, n_rr, r, s, d), value in vdim.items():
+        normalized = vdim.get((g - 1, n_ns + 2, n_rr, r, s, d))
+        if normalized is not None:
+            assert value == (normalized[0] - r + 1, normalized[1] - s), (g, n_ns, n_rr, r, s, d)
+            checked += 1
+    assert checked == 2304
+
+
+def test_non_separating_ramond_node():
+    # vdim(g, n_rr) = vdim(g - 1, n_rr + 2) - (r+s|r+s) + (1|1)
+    vdim = assembled_on_sweep()
+    checked = 0
+    for (g, n_ns, n_rr, r, s, d), value in vdim.items():
+        normalized = vdim.get((g - 1, n_ns, n_rr + 2, r, s, d))
+        if normalized is not None:
+            expected = (normalized[0] - r - s + 1, normalized[1] - r - s + 1)
+            assert value == expected, (g, n_ns, n_rr, r, s, d)
+            checked += 1
+    assert checked == 2880
+
+
+def test_separating_ns_node():
+    # g = g1 + g2, n_ns = n1 + n2, n_rr = m1 + m2 with m1, m2 even, d = d1 + d2:
+    # vdim = vdim(g1, n1 + 1, m1; d1) + vdim(g2, n2 + 1, m2; d2) - (r|s) + (1|0)
+    vdim = assembled_on_sweep()
+    checked = 0
+    for (g, n_ns, n_rr, r, s, d), value in vdim.items():
+        splits = itertools.product(
+            range(g + 1), range(n_ns + 1), range(0, n_rr + 1, 2), range(d + 1)
+        )
+        for g1, n1, m1, d1 in splits:
+            one = vdim.get((g1, n1 + 1, m1, r, s, d1))
+            two = vdim.get((g - g1, n_ns - n1 + 1, n_rr - m1, r, s, d - d1))
+            if one is None or two is None:
+                continue
+            expected = (one[0] + two[0] - r + 1, one[1] + two[1] - s)
+            assert value == expected, ((g, n_ns, n_rr, r, s, d), (g1, n1, m1, d1))
+            checked += 1
+    assert checked == 208000
 
 
 def test_alternate_odd_reading_breaks_identity_off_genus_one():

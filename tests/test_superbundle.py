@@ -21,7 +21,6 @@ from supergrr.chowring import integrate_product
 from supergrr.superbundle import (
     _exp_kernel,
     _factorial_weights,
-    _over_factorials,
     _power_sum_kernel,
     _scaled_exp,
     _sigma1_row,
@@ -286,7 +285,8 @@ def test_exp_kernel_is_its_recurrence(case, den, scale, divisor):
     assert _exp_kernel(top + 1)(weighted, scale) == series
     model = ChowModel.proj_space(top)
     built = _scaled_exp(model, weighted, row_den * den, scale=scale, divisor=divisor)
-    assert built == _over_factorials(model, series, series, row_den * den, divisor)
+    over = [divisor * factorial(k) * (row_den * den) ** k for k in range(top + 1)]
+    assert built == GradedElement.from_coeffs(model, map(Fraction, series, over))
 
 
 @st.composite
