@@ -24,15 +24,19 @@ import re
 import sys
 from fractions import Fraction
 
+from .chowring import _scalar
 from .grr import SplitSupercurve, chi_super, rr_oracle
 from .modulidim import (
     TARGET_KEYS,
     ModuliParams,
     TargetSpec,
+    _closed_values,
+    _less_gauge,
+    _same_values,
+    _tangent_values,
     bosonic_dimension,
     evaluate_request,
     properness_hint,
-    vdim_closed,
 )
 from .superbundle import SuperBundle
 from .superscalar import INT_TEXT, SuperScalar, parse_rational
@@ -49,6 +53,10 @@ CSV_COLUMNS = [
     "bosonic_dim",
     "proper",
 ]
+
+
+# the chi(tangent) triples one table run keeps for the rows of one genus
+TANGENTS_KEPT = 4096
 
 
 class CliError(Exception):
@@ -300,25 +308,47 @@ def _cmd_table(args) -> int:
         ModuliParams(*lowest[:2], n_rr)
     TargetSpec.psuper(*lowest[3:])
 
-    def write(stream) -> int:
+    def write(stream) -> tuple[int, str | None]:
+        """The rows written, and the stderr line of the first row whose two routes differ."""
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         rows = 0
+        # chi(tangent) does not read n_ns, so rows of one genus that differ only in
+        # n_ns share it; at most TANGENTS_KEPT are kept, so memory stays bounded
+        tangents, genus = {}, None
         for point in _grid(axes):
             params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
-            value = vdim_closed(params, target)
+            if point[0] != genus:
+                tangents, genus = {}, point[0]
+            tangent = tangents.get(point[2:])
+            if tangent is None:
+                tangent = _tangent_values(params.g, params.n_rr, target)
+                if len(tangents) < TANGENTS_KEPT:
+                    tangents[point[2:]] = tangent
+            closed, assembled = _closed_values(params, target), _less_gauge(params, tangent)
+            value = _scalar(*closed)
+            if not _same_values(closed, assembled):
+                row = " ".join([f"{name}={v}" for name, v in zip(CSV_COLUMNS, point)])
+                return rows, (
+                    f"consistency failure at {row}: closed formula {value} "
+                    f"!= assembled route {_scalar(*assembled)}"
+                )
             bosonic = bosonic_dimension(params, target)
             proper = properness_hint(target, params)
             writer.writerow([*point, value.body, value.soul, bosonic, proper])
             rows += 1
-        return rows
+        return rows, None
 
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            rows = write(handle)
-        print(f"wrote {rows} rows to {args.csv}")
+            rows, failure = write(handle)
+        if failure is None:
+            print(f"wrote {rows} rows to {args.csv}")
     else:
-        write(sys.stdout)
+        rows, failure = write(sys.stdout)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 2
     return 0
 
 

@@ -133,7 +133,8 @@ def _chi_values(curve: SplitSupercurve, bundle: SuperBundle) -> tuple[int, int, 
     """chi_super at P = +1 and P = -1, over one denominator: ch(U) against the curve's class.
 
     ch(U) is paired as its unreduced numerators, so no class is built and
-    nothing is reduced before _scalar or vdim_assembled's one result.
+    nothing is reduced; the one reduction is _scalar's, where a caller
+    wants a SuperScalar (evaluate_request compares the triples as they are).
     """
     check_model(bundle, curve)
     return _pairing(*bundle._character_numerators(), _curve_class(curve.genus, curve.deg_l))

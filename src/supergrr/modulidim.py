@@ -12,8 +12,10 @@ TargetSpec owns a target's invariants.  A P^{r|s} target keeps its image
 degree d beside its degree data (tau, phi_int), and the constructor
 refuses the two when they disagree, so bosonic_dimension (read from d)
 and the closed formula (read from tau and phi_int) always describe the
-same target.  TargetSpec.from_json is the one reader of a target kind,
-for requests and the vdim command alike.  TARGET_KEYS lists the JSON
+same target.  psuper leaves tau and phi_int to the constructor, which
+fills them in from d, so each number of a target is read once.
+TargetSpec.from_json is the one reader of a target kind, for requests
+and the vdim command alike.  TARGET_KEYS lists the JSON
 keys of each kind once: TargetSpec's codec and the vdim flags both read
 it, so a new kind is one row there plus one constructor.
 
@@ -21,21 +23,25 @@ A target's rank and degree data become the restricted tangent bundle in
 pullback_tangent, beside TargetSpec, and only there: it decides which
 data a bundle can realize and raises InvalidRank for the rest.
 
-The closed route computes in integers over one denominator q, the common
-denominator of the target's degree data, and builds a Fraction only for each
-part of its result; the assembled route, in integers at P = +1 and -1,
-builds one SuperScalar.  chi_gauge and bosonic_dimension compute in integers
-alone.  The closed route stays independent: it reads neither the assembled
-route nor chi_gauge, and bosonic_dimension does not read it.
+Each route is an integer triple (plus, minus, q): its values at P = +1
+and P = -1 over one denominator q, as grr._chi_values returns them.  The
+closed triple is over the common denominator of the target's degree data;
+the assembled triple is _chi_values of the restricted tangent less the
+gauge counts.  vdim_closed and vdim_assembled are their public SuperScalar
+forms, _scalar of each triple.  The consistency check of evaluate_request
+and of the table command is an exact integer comparison of the two
+triples, by cross-multiplication, so it builds no Fraction.  chi_gauge and
+bosonic_dimension compute in integers alone.  The closed route stays
+independent: its triple reads neither the assembled route nor chi_gauge,
+and bosonic_dimension does not read it.
 
 The closed formula's odd part carries a coefficient (1-g)(s-2).  An
 alternate (1-g)(s+2) reading of that factor exists in print; the two
 differ by 4(1-g)P, so the alternate breaks the cross-check for every
 g != 1.  The regression flag exists to demonstrate exactly that.
 
-Both routes return a SuperScalar.  ModuliParams holds only an even
-count n_rr of Ramond punctures (grr.parse_ramond_count), so n_rr/2 is
-an integer on both routes.
+ModuliParams holds only an even count n_rr of Ramond punctures
+(grr.parse_ramond_count), so n_rr/2 is an integer on both routes.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .chowring import _scalar, common_denominator
+from .chowring import _scalar
 from .grr import SplitSupercurve, _chi_values, _susy_curve, parse_ramond_count
 from .superbundle import SuperBundle
 from .superscalar import (
@@ -90,14 +96,20 @@ class TargetSpec(Value):
     tau is the even tangent degree integral; phi_int the integral of the
     odd conormal data.  Giving an image degree d makes the target
     projective superspace P^{r|s}: then r >= 1, d >= 0 and the degree
-    data must be tau = d(r+1) and phi_int = -s d, so d and (tau, phi_int)
-    never disagree.
+    data is tau = d(r+1) and phi_int = -s d.  Both left as None, it is
+    filled in from d; given, it must be those integers, so d and (tau,
+    phi_int) never disagree.  Each number is read once.
     """
 
     __slots__ = ("r", "s", "tau", "phi_int", "d")
 
     def __init__(
-        self, r: int, s: int, tau: Fraction, phi_int: Fraction, d: int | None = None
+        self,
+        r: int,
+        s: int,
+        tau: Fraction | None,
+        phi_int: Fraction | None,
+        d: int | None = None,
     ) -> None:
         r, s = parse_int(r, "r"), parse_int(s, "s")
         if d is not None:
@@ -108,12 +120,18 @@ class TargetSpec(Value):
                 raise ValueError("image degree must be nonnegative")
         if r < 0 or s < 0:
             raise ValueError("target ranks must be nonnegative")
-        tau, phi_int = parse_rational(tau, "tau"), parse_rational(phi_int, "phi_int")
-        if d is not None and (tau, phi_int) != (d * (r + 1), -s * d):
-            raise ValueError(
-                f"degree {d} on P^{{{r}|{s}}} needs tau = {d * (r + 1)} and "
-                f"phi_int = {-s * d}, not {tau} and {phi_int}"
-            )
+        if d is not None and tau is None and phi_int is None:
+            tau, phi_int = Fraction(d * (r + 1)), Fraction(-s * d)
+        else:
+            tau, phi_int = parse_rational(tau, "tau"), parse_rational(phi_int, "phi_int")
+            # P^{r|s} data is checked as the integers d(r+1) and -s d
+            if d is not None and (
+                tau.numerator, tau.denominator, phi_int.numerator, phi_int.denominator
+            ) != (d * (r + 1), 1, -s * d, 1):
+                raise ValueError(
+                    f"degree {d} on P^{{{r}|{s}}} needs tau = {d * (r + 1)} and "
+                    f"phi_int = {-s * d}, not {tau} and {phi_int}"
+                )
         set_field(self, "r", r)
         set_field(self, "s", s)
         set_field(self, "tau", tau)
@@ -123,8 +141,7 @@ class TargetSpec(Value):
     @classmethod
     def psuper(cls, r: int, s: int, d: int) -> "TargetSpec":
         """Projective superspace P^{r|s}, image class d times a line."""
-        r, s, d = parse_int(r, "r"), parse_int(s, "s"), parse_int(d, "d")
-        return cls(r, s, d * (r + 1), -s * d, d)
+        return cls(r, s, None, None, d)
 
     @classmethod
     def point(cls) -> "TargetSpec":
@@ -185,9 +202,10 @@ def pullback_tangent(curve: SplitSupercurve, target: TargetSpec) -> SuperBundle:
         raise InvalidRank(f"cannot realize tangent data of rank {r}|{s}")
     if s == 0 and phi:
         raise InvalidRank("odd degree data on a target with no odd directions")
-    den, (tau_n, phi_n) = common_denominator((tau, phi))
-    even = (tau_n,) + (0,) * (r - 1)
-    odd = (-phi_n,) + (0,) * (s - 1) if s else ()
+    # over the lcm of the reduced denominators the numerators stay in lowest terms
+    den = lcm(tau.denominator, phi.denominator)
+    even = (tau.numerator * (den // tau.denominator),) + (0,) * (r - 1)
+    odd = (-phi.numerator * (den // phi.denominator),) + (0,) * (s - 1) if s else ()
     return SuperBundle(curve.model, even, odd, den)
 
 
@@ -225,6 +243,13 @@ def vdim_closed(
     target with c_1(Ber) = 0 (P^{3|4}) still has a virtual dimension that
     grows with d, by (r+1+s)(1 - P) per unit of degree.
     """
+    return _scalar(*_closed_values(params, target, alternate_odd_sign))
+
+
+def _closed_values(
+    params: ModuliParams, target: TargetSpec, alternate_odd_sign: bool = False
+) -> tuple[int, int, int]:
+    """vdim_closed at P = +1 and P = -1 over one denominator, in integers."""
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     half = n_rr // 2
     r, s = target.r, target.s
@@ -235,19 +260,39 @@ def vdim_closed(
     s_term = s + 2 if alternate_odd_sign else s - 2
     body = q * ((r - 3) * (1 - g) + n_ns + n_rr + half * s) + integral
     soul = q * ((1 - g) * s_term + n_ns + half * (r + 1)) + integral
-    return SuperScalar(Fraction(body, q), Fraction(-soul, q))
+    # body - P soul over q is body - soul at P = +1 and body + soul at P = -1
+    return body - soul, body + soul, q
 
 
 def vdim_assembled(params: ModuliParams, target: TargetSpec) -> SuperScalar:
     """Virtual dimension assembled as chi_S(restricted tangent) - chi_S(gauge).
 
-    Both in integers at P = +1 and -1 (chi_gauge = E - P O is E - O and E + O)
-    until one SuperScalar; target data no bundle realizes raises InvalidRank.
+    Target data no bundle realizes raises InvalidRank.
     """
-    curve = _susy_curve(params.g, params.n_rr)  # both parsed by ModuliParams
-    plus, minus, den = _chi_values(curve, pullback_tangent(curve, target))
+    return _scalar(*_assembled_values(params, target))
+
+
+def _assembled_values(params: ModuliParams, target: TargetSpec) -> tuple[int, int, int]:
+    """vdim_assembled at P = +1 and P = -1 over one denominator, in integers."""
+    return _less_gauge(params, _tangent_values(params.g, params.n_rr, target))
+
+
+def _tangent_values(g: int, n_rr: int, target: TargetSpec) -> tuple[int, int, int]:
+    """chi_S(restricted tangent) as a triple; g and n_rr parsed, and n_ns not read."""
+    curve = _susy_curve(g, n_rr)
+    return _chi_values(curve, pullback_tangent(curve, target))
+
+
+def _less_gauge(params: ModuliParams, tangent: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A tangent triple less chi_gauge = E - P O, that is E - O at P = +1 and E + O at P = -1."""
+    plus, minus, den = tangent
     even, odd = _gauge_counts(params)
-    return _scalar(plus - den * (even - odd), minus - den * (even + odd), den)
+    return plus - den * (even - odd), minus - den * (even + odd), den
+
+
+def _same_values(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether two (plus, minus, denominator) triples are one value, by cross-multiplication."""
+    return a[0] * b[2] == b[0] * a[2] and a[1] * b[2] == b[1] * a[2]
 
 
 def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
@@ -287,19 +332,25 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     refused, as is a key that the request, its params or its target does
     not know.  The "warnings" key is always an empty list, kept so that
     the response keeps its keys and its bytes.
+
+    "consistent" compares the two routes' integer triples exactly; the
+    assembled JSON is rendered from its own triple only when they differ,
+    and is otherwise a copy of the closed one, the same bytes.
     """
     check_keys(request, ("params", "target"), "request")
     params = ModuliParams.from_json(require_key(request, "params", "request"))
     target = TargetSpec.from_json(require_key(request, "target", "request"))
-    closed = vdim_closed(params, target, alternate_odd_sign=alternate_odd_sign)
-    assembled = vdim_assembled(params, target)
+    closed_values = _closed_values(params, target, alternate_odd_sign)
+    assembled_values = _assembled_values(params, target)
+    closed = _scalar(*closed_values).to_json()
+    consistent = _same_values(closed_values, assembled_values)
     response = {
         "params": params.to_json(),
         "target": target.to_json(),
         "odd_part_reading": "s+2" if alternate_odd_sign else "s-2",
-        "closed": closed.to_json(),
-        "assembled": assembled.to_json(),
-        "consistent": assembled == closed,
+        "closed": closed,
+        "assembled": dict(closed) if consistent else _scalar(*assembled_values).to_json(),
+        "consistent": consistent,
         "bosonic_dimension": None,
         "properness": None,
         "warnings": [],

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import supergrr
+from supergrr import cli
 from supergrr.cli import CSV_COLUMNS, _parse_range, build_parser, main
 from supergrr.grr import parse_ramond_count
 from supergrr.modulidim import TARGET_KEYS
@@ -738,6 +739,41 @@ def test_table_refuses_a_bad_late_value_before_any_row(capsys, flag, value):
     code, out, err = run_cli(capsys, "table", flag, value)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_table_exits_2_at_the_first_row_whose_routes_differ(capsys, tmp_path, monkeypatch):
+    # the closed route moved by 2 at P = +1 at one grid point: 5 - 3P there instead of 4 - 4P
+    closed_values = cli._closed_values
+
+    def patched(params, target):
+        plus, minus, den = closed_values(params, target)
+        point = (params.g, params.n_ns, params.n_rr, target.r, target.s, target.d)
+        return (plus + 2 * den, minus, den) if point == (1, 1, 2, 2, 1, 0) else (plus, minus, den)
+
+    monkeypatch.setattr(cli, "_closed_values", patched)
+    flags = ["--g", "0..1", "--ns", "0..1", "--rr", "0,2", "--r", "2", "--s", "1", "--d", "0..1"]
+    failure = (
+        "consistency failure at g=1 n_ns=1 n_rr=2 r=2 s=1 d=0: "
+        "closed formula 5 - 3*P != assembled route 4 - 4*P\n"
+    )
+    code, out, err = run_cli(capsys, "table", *flags)
+    rows = out.splitlines()
+    # header, the 8 rows of g = 0, then g = 1: n_ns = 0 (4 rows) and n_ns = 1, n_rr = 0 (2 rows)
+    assert (code, err, len(rows)) == (2, failure, 1 + 8 + 6)
+    assert rows[-1].startswith("1,1,0,2,1,1,")
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "table", *flags, "--csv", str(path))
+    assert (code, out, err) == (2, "", failure)
+    assert path.read_text(encoding="utf-8").splitlines() == rows
+
+
+def test_table_rows_past_the_kept_tangents_are_the_same(capsys, monkeypatch):
+    flags = ["--g", "0..1", "--ns", "0..2", "--rr", "0,2", "--r", "1..2", "--s", "0..1"]
+    code, expected, err = run_cli(capsys, "table", *flags)
+    assert (code, err) == (0, "")
+    # one chi(tangent) kept per genus: every other row computes its own
+    monkeypatch.setattr(cli, "TANGENTS_KEPT", 1)
+    assert run_cli(capsys, "table", *flags) == (0, expected, "")
 
 
 # -- plumbing -----------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from supergrr import (
 )
 from supergrr.chowring import integrate_product
 from supergrr.ktheory import _sigma1_classes
+from supergrr.suites import random_element, random_normal_data
 
 from shared import elt, tangent_todd
 
@@ -28,27 +29,6 @@ C2 = ChowModel.curve(2)
 P2 = ChowModel.proj_space(2)
 # an ambient space equal to its bosonic reduction: no odd directions
 BOSONIC = NormalData(SuperBundle.zero(C2))
-
-
-def random_class(rng, model):
-    return KClass(
-        GradedElement.from_coeffs(
-            model,
-            [
-                SuperScalar(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                )
-                for _ in range(model.top_degree + 1)
-            ],
-        )
-    )
-
-
-def random_normal(rng, model):
-    return NormalData.from_degrees(
-        model, [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
-    )
 
 
 # -- sigma_1 of the conormal data ------------------------------------------------
@@ -74,7 +54,7 @@ def test_sigma1_leading_term_is_two_to_s():
     rng = random.Random(3)
     for _ in range(50):
         model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
+        nd = random_normal_data(rng, model)
         lead = sigma1_normal(nd).coefficient(0)
         assert lead == SuperScalar(2 ** len(nd.conormal.odd))
 
@@ -126,8 +106,8 @@ def test_star_identity_element():
     rng = random.Random(5)
     for _ in range(100):
         model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x = random_class(rng, model)
+        nd = random_normal_data(rng, model)
+        x = KClass(random_element(rng, model))
         assert star_product(x, star_identity(nd), nd) == x
 
 
@@ -135,7 +115,7 @@ def test_star_is_plain_product_on_bosonic():
     rng = random.Random(7)
     nd = BOSONIC
     for _ in range(50):
-        x, y = random_class(rng, C2), random_class(rng, C2)
+        x, y = KClass(random_element(rng, C2)), KClass(random_element(rng, C2))
         assert star_product(x, y, nd) == x * y
 
 
@@ -143,8 +123,8 @@ def test_star_associative_commutative():
     rng = random.Random(13)
     for _ in range(150):
         model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x, y, z = (random_class(rng, model) for _ in range(3))
+        nd = random_normal_data(rng, model)
+        x, y, z = (KClass(random_element(rng, model)) for _ in range(3))
         assert star_product(x, y, nd) == star_product(y, x, nd)
         lhs = star_product(star_product(x, y, nd), z, nd)
         rhs = star_product(x, star_product(y, z, nd), nd)
@@ -168,8 +148,8 @@ def test_embedding_pushforward_two_routes():
     rng = random.Random(23)
     for _ in range(200):
         model = rng.choice([C0, C2, P2])
-        nd = random_normal(rng, model)
-        x = random_class(rng, model)
+        nd = random_normal_data(rng, model)
+        x = KClass(random_element(rng, model))
         via_sigma = x.ch_image.ring_mul(sigma1_normal(nd).series_invert())
         todd_of_normal = nd.conormal.dual().todd()
         via_todd = x.ch_image.ring_mul(todd_of_normal.series_invert())

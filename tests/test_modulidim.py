@@ -1,7 +1,9 @@
 import copy
+import importlib
 import itertools
 import json
 import pickle
+import pkgutil
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +29,8 @@ from supergrr import (
     vdim_assembled,
     vdim_closed,
 )
-from supergrr import grr
+import supergrr
+from supergrr import grr, modulidim
 from supergrr.grr import parse_ramond_count
 
 from shared import CUSTOM_TARGETS, SWEEP
@@ -138,6 +141,9 @@ def test_psuper_expansion():
     assert t.phi_int == -8
     assert t.tau - t.phi_int == 24
     assert t.kind == "psuper"
+    # degree data left as None is filled in from d, as Fractions
+    assert TargetSpec(3, 2, None, None, 4) == t == TargetSpec(3, 2, "16", -8, 4)
+    assert (type(t.tau), type(t.phi_int)) == (Fraction, Fraction)
 
 
 def test_point_target():
@@ -159,8 +165,18 @@ def test_custom_target_kind():
         ((1, 0, 0, 0, -3), "image degree must be nonnegative"),
         ((-1, -1, 0, 0, -1), "projective superspace needs r >= 1"),
         ((1, -1, 0, 0, 0), "target ranks must be nonnegative"),
+        # checked as integers: a half-integer is refused with the same text
+        ((2, 1, Fraction(7, 2), -1, 1), "degree 1 on P^{2|1} needs tau = 3 and phi_int = -1, "
+         "not 7/2 and -1"),
+        ((2, 1, 3, "-1/2", 1), "degree 1 on P^{2|1} needs tau = 3 and phi_int = -1, "
+         "not 3 and -1/2"),
+        ((2, 1, None, -1, 1), "tau must be an int or a 'p/q' string, not None"),
+        ((2, 1, 3, None, 1), "phi_int must be an int or a 'p/q' string, not None"),
     ],
-    ids=["degree-data-disagrees", "rank-zero", "negative-degree", "r-first", "ranks-after"],
+    ids=[
+        "degree-data-disagrees", "rank-zero", "negative-degree", "r-first", "ranks-after",
+        "half-tau", "half-phi_int", "tau-left-out", "phi_int-left-out",
+    ],
 )
 def test_target_spec_refuses_inconsistent_psuper_data(args, message):
     with pytest.raises(ValueError) as excinfo:
@@ -545,21 +561,147 @@ def test_evaluate_request_alternate_reading():
     assert response["consistent"] is False
 
 
+def _psuper_request(point):
+    g, n_ns, n_rr, r, s, d = point
+    return {
+        "params": {"g": g, "n_ns": n_ns, "n_rr": n_rr},
+        "target": {"kind": "psuper", "r": r, "s": s, "d": d},
+    }
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["s-2", "s+2"])
+def test_evaluate_request_answers_what_the_public_routes_give(alternate):
+    inconsistent = 0
+    for point in SWEEP:
+        params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
+        closed = vdim_closed(params, target, alternate_odd_sign=alternate)
+        assembled = vdim_assembled(params, target)
+        response = evaluate_request(_psuper_request(point), alternate_odd_sign=alternate)
+        assert response["closed"] == closed.to_json(), point
+        assert response["assembled"] == assembled.to_json(), point
+        assert response["consistent"] is (closed == assembled), point
+        inconsistent += not response["consistent"]
+    # the (s+2) reading is off by 4(1-g)P, so at every point with g != 1
+    assert inconsistent == (len(SWEEP) * 3 // 4 if alternate else 0)
+
+
+@pytest.mark.parametrize("p", [1, -1], ids=["P=+1", "P=-1"])
+def test_evaluate_request_sees_routes_that_differ_at_one_value_of_p(monkeypatch, p):
+    # the assembled route moved by 1 at P = p alone, that is by (1 + p P)/2
+    assembled_values = modulidim._assembled_values
+
+    def moved(params, target):
+        plus, minus, den = assembled_values(params, target)
+        return (plus + den, minus, den) if p == 1 else (plus, minus + den, den)
+
+    monkeypatch.setattr(modulidim, "_assembled_values", moved)
+    for point in SWEEP[::97]:
+        params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
+        response = evaluate_request(_psuper_request(point))
+        assert response["consistent"] is False, point
+        assert response["closed"] == vdim_closed(params, target).to_json(), point
+        assert response["assembled"] == vdim_assembled(params, target).to_json(), point
+        moved_by = SuperScalar.from_json(response["assembled"]) - vdim_closed(params, target)
+        assert moved_by == SuperScalar(Fraction(1, 2), Fraction(p, 2)), point
+
+
+@pytest.fixture
+def number_reads(monkeypatch) -> list:
+    """The `what` of each call of parse_int and parse_rational, in every module that holds them."""
+    reads = []
+    # every module but __main__, which would run the command line
+    for info in pkgutil.iter_modules(supergrr.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"supergrr.{info.name}")
+        for name in ("parse_int", "parse_rational"):
+            reader = getattr(module, name, None)
+            if reader is not None:
+
+                def counted(value, what="value", reader=reader):
+                    reads.append(what)
+                    return reader(value, what)
+
+                monkeypatch.setattr(module, name, counted)
+    return reads
+
+
 @pytest.mark.parametrize(
-    "params,target",
+    "target,reads",
     [
-        ({"g": 1.9}, {"kind": "point"}),
-        ({"g": 0, "n_ns": True}, {"kind": "point"}),
-        ({"g": 0}, {"kind": "psuper", "r": "2", "s": 0, "d": 1}),
-        ({"g": 0}, {"kind": "custom", "r": 2, "s": 0, "tau": 0.1}),
-        ({"g": 0}, {"kind": "custom", "r": 2, "s": 0, "tau": None}),
-        ({"g": 0}, {"kind": "custom", "r": 2, "s": 1, "phi_int": "1/0"}),
+        ({"kind": "psuper", "r": 3, "s": 2, "d": 2}, ["r", "s", "d"]),
+        (
+            {"kind": "custom", "r": 2, "s": 1, "tau": "7/3", "phi_int": -2},
+            ["r", "s", "tau", "phi_int"],
+        ),
     ],
-    ids=["float-genus", "bool-n_ns", "string-r", "float-tau", "null-tau", "zero-denominator"],
+    ids=["psuper", "custom"],
 )
-def test_evaluate_request_refuses_inexact_numbers(params, target):
-    with pytest.raises(ValueError):
+def test_evaluate_request_reads_each_number_once(number_reads, target, reads):
+    request = {"params": {"g": 2, "n_ns": 1, "n_rr": 2}, "target": target}
+    warm = evaluate_request(request)
+    assert number_reads  # the wrappers see the reads
+    number_reads.clear()
+    assert evaluate_request(request) == warm
+    assert number_reads == ["g", "n_ns", "n_rr", *reads]
+
+
+@pytest.mark.parametrize(
+    "params,target,message",
+    [
+        ({"g": -1}, {"kind": "point"}, "genus and puncture counts must be nonnegative"),
+        ({"g": 0}, {"r": 0, "s": 0, "d": 1}, "projective superspace needs r >= 1"),
+        ({"g": 0}, {"r": 2, "s": 0, "d": -1}, "image degree must be nonnegative"),
+        ({"g": 0}, {"r": 2, "s": -1, "d": 1}, "target ranks must be nonnegative"),
+        ({"g": 0}, {"kind": "custom", "r": -1, "s": 0}, "target ranks must be nonnegative"),
+    ],
+    ids=["genus", "psuper-r", "psuper-d", "psuper-s", "custom-r"],
+)
+def test_evaluate_request_refuses_out_of_range_numbers_with_their_text(params, target, message):
+    with pytest.raises(ValueError) as refusal:
         evaluate_request({"params": params, "target": target})
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize(
+    "params,target,message",
+    [
+        ({"g": 1.9}, {"kind": "point"}, "g must be an integer, not 1.9"),
+        ({"g": 0, "n_ns": True}, {"kind": "point"}, "n_ns must be an integer, not True"),
+        (
+            {"g": 0},
+            {"kind": "psuper", "r": "2", "s": 0, "d": 1},
+            "r must be an integer, not '2'",
+        ),
+        (
+            {"g": 0},
+            {"kind": "custom", "r": 2, "s": 0, "tau": 0.1},
+            "tau must be an int or a 'p/q' string, not 0.1",
+        ),
+        (
+            {"g": 0},
+            {"kind": "custom", "r": 2, "s": 0, "tau": None},
+            "tau must be an int or a 'p/q' string, not None",
+        ),
+        (
+            {"g": 0},
+            {"kind": "custom", "r": 2, "s": 1, "phi_int": "1/0"},
+            "phi_int '1/0' has a zero denominator",
+        ),
+        ({"g": 0}, {"r": 2, "s": 0.0, "d": 1}, "s must be an integer, not 0.0"),
+        ({"g": 0}, {"r": 2, "s": 0, "d": False}, "d must be an integer, not False"),
+        # d is read before the ranks are checked
+        ({"g": 0}, {"r": 0, "s": -1, "d": 0.5}, "d must be an integer, not 0.5"),
+    ],
+    ids=[
+        "float-genus", "bool-n_ns", "string-r", "float-tau", "null-tau", "zero-denominator",
+        "float-s", "bool-d", "float-d-before-ranges",
+    ],
+)
+def test_evaluate_request_refuses_inexact_numbers(params, target, message):
+    with pytest.raises(ValueError) as refusal:
+        evaluate_request({"params": params, "target": target})
+    assert str(refusal.value) == message
 
 
 def test_targets_read_rationals_exactly():
