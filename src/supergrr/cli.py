@@ -12,6 +12,10 @@ the interpreter runs at shutdown have nothing left to traverse
 freezes, so in-process callers keep an ordinary heap.  os._exit would
 save a little more, but it skips the flush of Python's stdio buffers
 and the atexit handlers, so the process ends through SystemExit.
+
+A process builds the parser of only the subcommand its first argument
+names (of all five if none), and imports json, csv and the suites only
+in the subcommands that print or read JSON, write CSV or run suites.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
-import re
 import sys
 from fractions import Fraction
 
@@ -39,7 +41,7 @@ from .modulidim import (
     properness_hint,
 )
 from .superbundle import SuperBundle
-from .superscalar import INT_TEXT, SuperScalar, parse_rational
+from .superscalar import SuperScalar, is_int_text, parse_rational
 
 CSV_COLUMNS = [
     "g",
@@ -69,61 +71,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser of the subcommand that argv[0] names, or of all five when it names none."""
     # --help shows the summary and the exit codes, not the note on the exit path;
     # python -OO drops docstrings, and with them the description
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
     parser = _Parser(prog="supergrr", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    vdim = sub.add_parser("vdim", help="virtual dimension of the supermap moduli")
-    vdim.add_argument("--target", choices=list(TARGET_KEYS), default="psuper")
-    # a target flag is in args only when given, so one the kind does not read can be refused
-    for key, (reader, _) in _TARGET_FLAGS.items():
-        vdim.add_argument("--" + key.replace("_", "-"), type=reader, default=argparse.SUPPRESS)
-    vdim.add_argument("--g", type=_int, default=0, help="genus")
-    vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
-    vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
-    vdim.add_argument("--json", action="store_true", help="print only the JSON document")
-    vdim.add_argument(
-        "--use-paper-dimmod2-sign",
-        action="store_true",
-        help="use the (s+2) odd-part reading instead of the derived (s-2)",
-    )
-
-    chi = sub.add_parser("chi", help="super Euler characteristic of a bundle spec")
-    chi.add_argument("--g", type=_int, default=0, help="genus")
-    chi.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
-    chi.add_argument(
-        "--bundle",
-        required=True,
-        help="bundle spec as inline JSON or @path to a JSON file",
-    )
-    chi.add_argument("--json", action="store_true")
-
-    check = sub.add_parser("grr-check", help="randomized Riemann-Roch identity sweep")
-    check.add_argument("--seed", type=_int, default=0)
-    check.add_argument("--cases", type=_case_count, default=1000)
-    check.add_argument("--json", action="store_true")
-
-    table = sub.add_parser("table", help="sweep parameter ranges to CSV")
-    table.add_argument("--g", default="0..3", help="range, e.g. 0..3 or 0,2")
-    table.add_argument("--ns", default="0..4")
-    table.add_argument("--rr", default="0,2,4,6")
-    table.add_argument("--r", default="1..4")
-    table.add_argument("--s", default="0..3")
-    table.add_argument("--d", default="0..3")
-    table.add_argument("--csv", metavar="PATH", default=None, help="output path (default stdout)")
-
-    ident = sub.add_parser("identities", help="characteristic-class identity suites")
-    ident.add_argument("--seed", type=_int, default=0)
-    ident.add_argument("--cases", type=_case_count, default=500)
-    ident.add_argument("--json", action="store_true")
-
+    for name in argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS:
+        help_text, add_flags, _ = _SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
-
-
-_INT_TEXT = re.compile(INT_TEXT)
 
 
 def _int(text: str) -> int:
@@ -132,7 +90,7 @@ def _int(text: str) -> int:
     int() alone would also take other scripts' digits, underscores and
     surrounding blanks.
     """
-    if _INT_TEXT.fullmatch(text):
+    if is_int_text(text):
         try:
             return int(text)
         except ValueError:  # past the interpreter's digit limit
@@ -163,9 +121,6 @@ _TARGET_FLAGS = {
 }
 
 
-_RANGE_CHUNK = re.compile(rf"({INT_TEXT})(?:\.\.({INT_TEXT}))?")
-
-
 def _parse_range(flag: str, text: str) -> tuple[range, ...]:
     """Comma-separated chunks N or N..M (inclusive), each kept as a range object."""
     chunks = []
@@ -173,10 +128,9 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        match = _RANGE_CHUNK.fullmatch(chunk)
-        if match is None:
+        lo, dots, hi = chunk.partition("..")
+        if not is_int_text(lo) or dots and not is_int_text(hi):
             raise CliError(f"argument --{flag}: invalid range chunk {chunk!r}, expected N or N..M")
-        lo, hi = match.groups()
         lo, hi = int(lo), int(hi or lo)
         if hi < lo:
             raise CliError(
@@ -188,7 +142,25 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
     return tuple(chunks)
 
 
+def _vdim_flags(vdim: _Parser) -> None:
+    vdim.add_argument("--target", choices=list(TARGET_KEYS), default="psuper")
+    # a target flag is in args only when given, so one the kind does not read can be refused
+    for key, (reader, _) in _TARGET_FLAGS.items():
+        vdim.add_argument("--" + key.replace("_", "-"), type=reader, default=argparse.SUPPRESS)
+    vdim.add_argument("--g", type=_int, default=0, help="genus")
+    vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
+    vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
+    vdim.add_argument("--json", action="store_true", help="print only the JSON document")
+    vdim.add_argument(
+        "--use-paper-dimmod2-sign",
+        action="store_true",
+        help="use the (s+2) odd-part reading instead of the derived (s-2)",
+    )
+
+
 def _cmd_vdim(args) -> int:
+    import json
+
     given, keys = vars(args), TARGET_KEYS[args.target]
     for key in _TARGET_FLAGS:
         if key in given and key not in keys:
@@ -202,12 +174,10 @@ def _cmd_vdim(args) -> int:
     response = evaluate_request(request, alternate_odd_sign=args.use_paper_dimmod2_sign)
     closed = SuperScalar.from_json(response["closed"])
     document = json.dumps(response, indent=2)
-    if args.json:
-        print(document)
-    else:
+    if not args.json:
         print(closed)
         print(f"consistency: {response['consistent']}")
-        print(document)
+    print(document)
     if not response["consistent"]:
         assembled = SuperScalar.from_json(response["assembled"])
         print("consistency failure: closed formula differs from assembled route", file=sys.stderr)
@@ -215,16 +185,15 @@ def _cmd_vdim(args) -> int:
             f"  closed with the ({response['odd_part_reading']}) odd-part reading: {closed}",
             file=sys.stderr,
         )
-        print(
-            f"  assembled route, which forces the (s-2) reading: {assembled}",
-            file=sys.stderr,
-        )
+        print(f"  assembled route, which forces the (s-2) reading: {assembled}", file=sys.stderr)
         print(f"  difference: {closed - assembled}", file=sys.stderr)
         return 2
     return 0
 
 
 def _load_bundle_spec(text: str) -> dict:
+    import json
+
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
             text = handle.read()
@@ -239,7 +208,18 @@ def _load_bundle_spec(text: str) -> dict:
     return obj
 
 
+def _chi_flags(chi: _Parser) -> None:
+    chi.add_argument("--g", type=_int, default=0, help="genus")
+    chi.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
+    chi.add_argument(
+        "--bundle", required=True, help="bundle spec as inline JSON or @path to a JSON file"
+    )
+    chi.add_argument("--json", action="store_true")
+
+
 def _cmd_chi(args) -> int:
+    import json
+
     curve = SplitSupercurve.susy(args.g, args.rr)
     spec = _load_bundle_spec(args.bundle)
     bundle = SuperBundle.from_json(spec, default_model=curve.model)
@@ -260,15 +240,19 @@ def _cmd_chi(args) -> int:
         },
         indent=2,
     )
-    if args.json:
-        print(document)
-    else:
+    if not args.json:
         print(chi)
-        print(document)
+    print(document)
     if not match:
         print(f"identity failure: chi {chi} != oracle {oracle}", file=sys.stderr)
         return 2
     return 0
+
+
+def _grr_check_flags(check: _Parser) -> None:
+    check.add_argument("--seed", type=_int, default=0)
+    check.add_argument("--cases", type=_case_count, default=1000)
+    check.add_argument("--json", action="store_true")
 
 
 def _cmd_grr_check(args) -> int:
@@ -280,6 +264,8 @@ def _cmd_grr_check(args) -> int:
         f"passed={result.passed} failed={len(result.failures)}"
     )
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -293,6 +279,16 @@ def _cmd_grr_check(args) -> int:
     else:
         print(line)
     return _report_failures([result])
+
+
+def _table_flags(table: _Parser) -> None:
+    table.add_argument("--g", default="0..3", help="range, e.g. 0..3 or 0,2")
+    table.add_argument("--ns", default="0..4")
+    table.add_argument("--rr", default="0,2,4,6")
+    table.add_argument("--r", default="1..4")
+    table.add_argument("--s", default="0..3")
+    table.add_argument("--d", default="0..3")
+    table.add_argument("--csv", metavar="PATH", default=None, help="output path (default stdout)")
 
 
 def _cmd_table(args) -> int:
@@ -362,11 +358,19 @@ def _grid(axes):
             yield (value, *rest)
 
 
+def _identities_flags(ident: _Parser) -> None:
+    ident.add_argument("--seed", type=_int, default=0)
+    ident.add_argument("--cases", type=_case_count, default=500)
+    ident.add_argument("--json", action="store_true")
+
+
 def _cmd_identities(args) -> int:
     from . import suites
 
     results = suites.run_identity_suites(args.seed, args.cases)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -398,24 +402,26 @@ def _report_failures(results) -> int:
     return 2
 
 
-_COMMANDS = {
-    "vdim": _cmd_vdim,
-    "chi": _cmd_chi,
-    "grr-check": _cmd_grr_check,
-    "table": _cmd_table,
-    "identities": _cmd_identities,
+# name -> (help, flag adder, runner), in the order --help lists them
+_SUBCOMMANDS = {
+    "vdim": ("virtual dimension of the supermap moduli", _vdim_flags, _cmd_vdim),
+    "chi": ("super Euler characteristic of a bundle spec", _chi_flags, _cmd_chi),
+    "grr-check": ("randomized Riemann-Roch identity sweep", _grr_check_flags, _cmd_grr_check),
+    "table": ("sweep parameter ranges to CSV", _table_flags, _cmd_table),
+    "identities": ("characteristic-class identity suites", _identities_flags, _cmd_identities),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         for name, value in vars(args).items():
             # argparse drops the "--" of --flag=-- and stores an empty list, unchecked
             if isinstance(value, list):
                 raise CliError(f"argument --{name.replace('_', '-')}: expected one argument")
-        return _COMMANDS[args.subcommand](args)
+        return _SUBCOMMANDS[args.subcommand][2](args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ body**2 != soul**2.  No floating point is used anywhere.
 ``parse_rational`` and ``parse_int`` are the one exact reader of numbers
 that arrive from JSON, the command line or a library constructor: an
 int or a ``"p/q"`` string is read exactly, and floats, bools, nulls and
-anything else are refused with ValueError rather than rounded.
+anything else are refused with ValueError rather than rounded.  Each
+integer in text passes ``is_int_text``: an optional sign, ASCII digits.
 ``require_key`` reads a required JSON key, and names it when it is
 missing; ``check_keys`` refuses, and names, a key that a JSON object
 should not carry, so a misspelt key is never read as its default.
@@ -31,7 +32,6 @@ keeps the package's start-up cheap.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import attrgetter
 
@@ -159,9 +159,10 @@ class SuperScalar(Value):
         return cls(obj.get("body", 0), obj.get("soul", 0))
 
 
-# the integer grammar of every number reader here: ASCII digits, an optional sign
-INT_TEXT = r"[+-]?[0-9]+"
-_RATIONAL_TEXT = re.compile(rf"{INT_TEXT}(?:/[0-9]+)?")
+def is_int_text(text: str) -> bool:
+    """True when text is an optional + or - sign, then one or more ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isdigit() and digits.isascii()
 
 
 def parse_rational(value, what: str = "value") -> Fraction:
@@ -170,11 +171,13 @@ def parse_rational(value, what: str = "value") -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
-        numerator, _, denominator = value.partition("/")
-        if denominator and not int(denominator):
-            raise ValueError(f"{what} {value!r} has a zero denominator")
-        return Fraction(int(numerator), int(denominator or 1))
+    if isinstance(value, str):
+        numerator, slash, denominator = value.partition("/")
+        unsigned_denominator = not slash or denominator.isdigit() and denominator.isascii()
+        if is_int_text(numerator) and unsigned_denominator:
+            if denominator and not int(denominator):
+                raise ValueError(f"{what} {value!r} has a zero denominator")
+            return Fraction(int(numerator), int(denominator or 1))
     raise ValueError(f"{what} must be an int or a 'p/q' string, not {value!r}")
 
 

@@ -6,19 +6,22 @@ Whatever arrives, ``evaluate_request`` answers or raises ValueError, and
 often enough that the computing paths run too, not only the refusals.
 Every size drawn stays small: the assembled route stores one Chern root
 per unit of target rank, and ``grr-check``/``identities`` run one case
-per requested case.
+per requested case.  The text readers of numbers accept and refuse
+exactly what the regular expressions they replaced did.
 """
 
+import argparse
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supergrr.cli import main
+from supergrr.cli import CliError, _int, _parse_range, main
 from supergrr.grr import NonIntegralTwist
 from supergrr.modulidim import (
     ModuliParams,
@@ -27,6 +30,7 @@ from supergrr.modulidim import (
     evaluate_request,
     vdim_closed,
 )
+from supergrr.superscalar import parse_rational
 
 SMALL = st.integers(-6, 12)
 NATURAL = st.integers(0, 6)
@@ -201,3 +205,48 @@ def test_cli_exits_cleanly(argv):
     if code == 1:
         one_line = message.endswith("\n") and message.count("\n") == 1
         assert message.startswith("error: ") and one_line, (argv, message)
+
+
+# the integer grammar as regular expressions, before every reader shared superscalar.is_int_text
+INT_TEXT = r"[+-]?[0-9]+"
+RATIONAL_TEXT = re.compile(rf"{INT_TEXT}(?:/[0-9]+)?")
+RANGE_CHUNK = re.compile(rf"({INT_TEXT})(?:\.\.({INT_TEXT}))?")
+
+# signs, separators, blanks, ASCII digits and three non-ASCII characters that int() or
+# str.isdigit() take for digits: ARABIC-INDIC THREE, SUPERSCRIPT ONE and FULLWIDTH ZERO
+GRAMMAR_TEXT = st.one_of(
+    st.text("+-/._ 0123456789\u0663\u00b9\uff10", max_size=10),
+    st.from_regex(RATIONAL_TEXT, fullmatch=True),
+    st.from_regex(RANGE_CHUNK, fullmatch=True),
+    st.sampled_from(
+        ["", "+", "-0", "--5", "+-5", "+7/3", "7/+3", "7/-3", "7/0", "1_0", " 5 ", "\u0663"]
+        + ["1\u00b9", "\uff10", "1..2", "2..1", "-3..-1", "1..", "..2", "1...2", "1..2..3"]
+        + ["1/2..3", "7/\u0663", "7/\u00b9", "7/\uff10"]
+    ),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(GRAMMAR_TEXT)
+def test_number_readers_keep_the_regular_grammar(text):
+    numerator, _, denominator = text.partition("/")
+    if RATIONAL_TEXT.fullmatch(text) and int(denominator or 1):
+        assert parse_rational(text) == Fraction(int(numerator), int(denominator or 1))
+    else:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    if re.fullmatch(INT_TEXT, text):
+        assert _int(text) == int(text)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _int(text)
+
+    # no comma is drawn, so the text, stripped, is one chunk
+    chunk = RANGE_CHUNK.fullmatch(text.strip())
+    bounds = chunk and (int(chunk[1]), int(chunk[2] or chunk[1]))
+    if bounds and bounds[0] <= bounds[1]:
+        assert _parse_range("g", text) == (range(bounds[0], bounds[1] + 1),)
+    else:
+        with pytest.raises(CliError):
+            _parse_range("g", text)

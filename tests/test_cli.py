@@ -787,6 +787,26 @@ def test_unknown_subcommand(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
 
 
+SUBCOMMANDS = ["vdim", "chi", "grr-check", "table", "identities"]
+
+
+def subcommand_parsers(argv):
+    return build_parser(argv)._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_named_subcommand_builds_only_its_own_parser(name):
+    alone, full = subcommand_parsers([name]), subcommand_parsers([])
+    assert list(alone) == [name]
+    assert alone[name].format_help() == full[name].format_help()
+    assert alone[name].format_usage() == full[name].format_usage()
+
+
+@pytest.mark.parametrize("argv", [None, [], ["-h"], ["--help"], ["nope"]], ids=str)
+def test_no_named_subcommand_builds_all_five_in_order(argv):
+    assert list(subcommand_parsers(argv)) == SUBCOMMANDS
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "supergrr", "vdim", "--target", "psuper",

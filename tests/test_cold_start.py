@@ -2,9 +2,9 @@
 
 Together they cost more than a tenth of a `supergrr` call's wall time,
 so they must stay out of the import graph of the package and its CLI.
-Nor does importing the CLI load what only some subcommands use: `csv`
-(table), the suites and `random` (grr-check, identities), or `typing`
-and `pathlib`, which nothing needs.
+Nor does importing the CLI load what only some subcommands use: `json`
+(vdim, chi and every --json), `csv` (table), the suites and `random`
+(grr-check, identities), or `typing` and `pathlib`, which nothing needs.
 
 The class kernels on P^r are compiled on first use, never at import,
 so importing the CLI leaves every kernel cache empty.  So are the
@@ -25,7 +25,7 @@ import supergrr
 
 SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
-UNUSED_AT_IMPORT = ("typing", "pathlib", "csv", "random", "supergrr.suites")
+UNUSED_AT_IMPORT = ("typing", "pathlib", "json", "csv", "random", "supergrr.suites")
 KERNEL_CACHES = ("_convolution_kernel", "_exp_kernel", "_power_sum_kernel")
 
 

@@ -15,7 +15,6 @@ from supergrr import (
     ch_twisted,
     j_map,
     sigma1_normal,
-    star_identity,
     star_product,
 )
 from supergrr.chowring import integrate_product
@@ -100,15 +99,6 @@ def test_ch_twisted_model_mismatch():
 
 
 # -- star product ------------------------------------------------------------------
-
-
-def test_star_identity_element():
-    rng = random.Random(5)
-    for _ in range(100):
-        model = rng.choice([C0, C2, P2])
-        nd = random_normal_data(rng, model)
-        x = KClass(random_element(rng, model))
-        assert star_product(x, star_identity(nd), nd) == x
 
 
 def test_star_is_plain_product_on_bosonic():

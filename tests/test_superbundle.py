@@ -202,14 +202,6 @@ def test_dual_negates_degrees():
 # -- identity properties ----------------------------------------------------------------
 
 
-def test_c1_duality_on_lines():
-    for deg in range(-5, 6):
-        even_line = SuperBundle.from_degrees(C2, (deg,), ())
-        odd_line = SuperBundle.from_degrees(C2, (), (deg,))
-        assert even_line.dual().c1() == -even_line.c1()
-        assert odd_line.dual().c1() == -odd_line.c1()
-
-
 def test_factorial_weights_cache_is_bounded():
     # the denominator comes from outside the program, so the weight cache must not grow with it
     model = ChowModel.proj_space(2)
