@@ -807,6 +807,56 @@ def test_no_named_subcommand_builds_all_five_in_order(argv):
     assert list(subcommand_parsers(argv)) == SUBCOMMANDS
 
 
+# stdout sha256 of `supergrr [NAME] --help` at 80 columns, captured on CPython 3.11
+HELP_DIGESTS = {
+    "": "4973e90c98cb1eb3f623e40148093910d8bcd9f94c68cad7e2e1da01f397ab1f",
+    "vdim": "f020ee7e1cece11c1bec5b4a36ada0a2594e189d209a703dd44560920398c6b3",
+    "chi": "db87cd760174d2d2aa2bbdc0fee732983006c744f37c95acc944f2956bcf8dfd",
+    "grr-check": "98621970d8088d08fa228f2ce4d4fb42e18acc60e7a2ad4f7f2c616c838dc40a",
+    "table": "0860afc4d763ec8f0413a9a0751c022b3d04f5f56876120923d499c05d0ce18f",
+    "identities": "1f55d8936a7c862aa03f0e4a156b2f7555965ed0781bd4796113728ca8629b22",
+}
+
+
+@pytest.mark.parametrize("name", list(HELP_DIGESTS), ids=lambda name: name or "top")
+def test_help_keeps_its_bytes(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([name, "--help"] if name else ["--help"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == HELP_DIGESTS[name]
+
+
+# argparse words these; later versions may print the choices without their quotes
+ARGPARSE_ERRORS = [
+    (["vdim", "--bogus"], ["unrecognized arguments: --bogus"]),
+    (["chi", "--g", "1"], ["the following arguments are required: --bundle"]),
+    (
+        ["vdim", "--target", "x"],
+        [
+            "argument --target: invalid choice: 'x' (choose from 'psuper', 'custom', 'point')",
+            "argument --target: invalid choice: 'x' (choose from psuper, custom, point)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,messages", ARGPARSE_ERRORS, ids=[" ".join(argv) for argv, _ in ARGPARSE_ERRORS]
+)
+def test_argparse_errors_keep_their_text(capsys, argv, messages):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err in [f"error: {message}\n" for message in messages]
+
+
+def test_an_abbreviated_flag_reads_as_the_whole_flag(capsys):
+    whole = run_cli(capsys, "vdim", "--target", "point", "--g", "1")
+    assert whole[0] == 0
+    assert run_cli(capsys, "vdim", "--tar", "point", "--g", "1") == whole
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "supergrr", "vdim", "--target", "psuper",
