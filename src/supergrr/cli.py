@@ -13,18 +13,20 @@ freezes, so in-process callers keep an ordinary heap.  os._exit would
 save a little more, but it skips the flush of Python's stdio buffers
 and the atexit handlers, so the process ends through SystemExit.
 
-A process builds the parser of only the subcommand its first argument
-names (of all five if none), and imports json, csv and the suites only
-in the subcommands that print or read JSON, write CSV or run suites.
+A well-formed command line is read from the flag table of _SUBCOMMANDS.
+argparse is imported only to print help or to word an error, and then
+builds the parser of only the subcommand the first argument names (of
+all five if none).  json, csv and the suites are imported only by the
+subcommands that print or read JSON, write CSV or run suites.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .chowring import _scalar
 from .grr import SplitSupercurve, chi_super, rr_oracle
@@ -65,23 +67,71 @@ class CliError(Exception):
     """Validation failure; reported on stderr with exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; 2 is reserved for identity failures
-    def error(self, message):
-        raise CliError(message)
-
-
-def build_parser(argv: list[str] | None = None) -> _Parser:
+def build_parser(argv: list[str] | None = None):
     """The parser of the subcommand that argv[0] names, or of all five when it names none."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on bad flags; 2 is reserved for identity failures
+        def error(self, message):
+            raise CliError(message)
+
     # --help shows the summary and the exit codes, not the note on the exit path;
     # python -OO drops docstrings, and with them the description
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
     parser = _Parser(prog="supergrr", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS:
-        help_text, add_flags, _ = _SUBCOMMANDS[name]
-        add_flags(sub.add_parser(name, help=help_text))
+        help_text, flags, _ = _SUBCOMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        for spelling, reader, default, extra in flags:
+            kind = {"action": "store_true"} if reader is None else {"type": reader}
+            default = argparse.SUPPRESS if default is ... else default
+            command.add_argument(spelling, default=default, **kind, **extra)
     return parser
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The args of a well-formed command line, read from the flag table; None leaves to argparse
+    help, abbreviations, "--", positionals, a switch given a value, a missing, empty or "--"
+    value, a separate value that starts with "-" but is no -digits integer, a value its reader
+    or choices refuse, and a missing required flag."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    flags = {flag[0]: flag for flag in _SUBCOMMANDS[argv[0]][1]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        spelling, equals, value = token.partition("=")
+        if spelling not in flags:
+            return None
+        _, reader, _, extra = flags[spelling]
+        if reader is None:
+            if equals:
+                return None
+            given[spelling] = True
+            continue
+        if not equals:
+            value = next(tokens, "")
+            if value.startswith("-") and not is_int_text(value):
+                return None
+        if value in ("", "--"):
+            return None
+        try:
+            value = reader(value)
+        except Exception:  # argparse reads it again and words the error
+            return None
+        if value not in extra.get("choices", [value]):
+            return None
+        given[spelling] = value  # the last repeat wins
+    args = {"subcommand": argv[0]}
+    for spelling, _, default, extra in flags.values():
+        if spelling not in given and extra.get("required"):
+            return None
+        value = given.get(spelling, default)
+        if value is not ...:
+            args[spelling[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
 
 
 def _int(text: str) -> int:
@@ -95,6 +145,8 @@ def _int(text: str) -> int:
             return int(text)
         except ValueError:  # past the interpreter's digit limit
             pass
+    import argparse
+
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -102,6 +154,8 @@ def _case_count(text: str) -> int:
     """A run that checks nothing is refused: the count must be at least 1."""
     value = _int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -111,6 +165,8 @@ def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -140,22 +196,6 @@ def _parse_range(flag: str, text: str) -> tuple[range, ...]:
     if not chunks:
         raise CliError(f"argument --{flag}: empty range {text!r}")
     return tuple(chunks)
-
-
-def _vdim_flags(vdim: _Parser) -> None:
-    vdim.add_argument("--target", choices=list(TARGET_KEYS), default="psuper")
-    # a target flag is in args only when given, so one the kind does not read can be refused
-    for key, (reader, _) in _TARGET_FLAGS.items():
-        vdim.add_argument("--" + key.replace("_", "-"), type=reader, default=argparse.SUPPRESS)
-    vdim.add_argument("--g", type=_int, default=0, help="genus")
-    vdim.add_argument("--ns", type=_int, default=0, help="Neveu-Schwarz punctures")
-    vdim.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
-    vdim.add_argument("--json", action="store_true", help="print only the JSON document")
-    vdim.add_argument(
-        "--use-paper-dimmod2-sign",
-        action="store_true",
-        help="use the (s+2) odd-part reading instead of the derived (s-2)",
-    )
 
 
 def _cmd_vdim(args) -> int:
@@ -208,15 +248,6 @@ def _load_bundle_spec(text: str) -> dict:
     return obj
 
 
-def _chi_flags(chi: _Parser) -> None:
-    chi.add_argument("--g", type=_int, default=0, help="genus")
-    chi.add_argument("--rr", type=_int, default=0, help="Ramond-Ramond punctures")
-    chi.add_argument(
-        "--bundle", required=True, help="bundle spec as inline JSON or @path to a JSON file"
-    )
-    chi.add_argument("--json", action="store_true")
-
-
 def _cmd_chi(args) -> int:
     import json
 
@@ -249,12 +280,6 @@ def _cmd_chi(args) -> int:
     return 0
 
 
-def _grr_check_flags(check: _Parser) -> None:
-    check.add_argument("--seed", type=_int, default=0)
-    check.add_argument("--cases", type=_case_count, default=1000)
-    check.add_argument("--json", action="store_true")
-
-
 def _cmd_grr_check(args) -> int:
     from . import suites
 
@@ -266,29 +291,11 @@ def _cmd_grr_check(args) -> int:
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "cases": result.cases,
-                    "passed": result.passed,
-                    "failures": [t for _, t in result.failures[:5]],
-                }
-            )
-        )
+        document = {"seed": args.seed, "cases": result.cases, "passed": result.passed}
+        print(json.dumps({**document, "failures": [t for _, t in result.failures[:5]]}))
     else:
         print(line)
     return _report_failures([result])
-
-
-def _table_flags(table: _Parser) -> None:
-    table.add_argument("--g", default="0..3", help="range, e.g. 0..3 or 0,2")
-    table.add_argument("--ns", default="0..4")
-    table.add_argument("--rr", default="0,2,4,6")
-    table.add_argument("--r", default="1..4")
-    table.add_argument("--s", default="0..3")
-    table.add_argument("--d", default="0..3")
-    table.add_argument("--csv", metavar="PATH", default=None, help="output path (default stdout)")
 
 
 def _cmd_table(args) -> int:
@@ -358,12 +365,6 @@ def _grid(axes):
             yield (value, *rest)
 
 
-def _identities_flags(ident: _Parser) -> None:
-    ident.add_argument("--seed", type=_int, default=0)
-    ident.add_argument("--cases", type=_case_count, default=500)
-    ident.add_argument("--json", action="store_true")
-
-
 def _cmd_identities(args) -> int:
     from . import suites
 
@@ -371,18 +372,11 @@ def _cmd_identities(args) -> int:
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "cases": args.cases,
-                    "suites": {
-                        r.name: {"passed": r.passed, "failures": [t for _, t in r.failures[:5]]}
-                        for r in results
-                    },
-                }
-            )
-        )
+        document = {"seed": args.seed, "cases": args.cases, "suites": {}}
+        for r in results:
+            failures = [t for _, t in r.failures[:5]]
+            document["suites"][r.name] = {"passed": r.passed, "failures": failures}
+        print(json.dumps(document))
     else:
         print(f"identities: seed={args.seed} cases-per-suite={args.cases}")
         for result in results:
@@ -402,25 +396,60 @@ def _report_failures(results) -> int:
     return 2
 
 
-# name -> (help, flag adder, runner), in the order --help lists them
+# name -> (help, flags, runner), in the order --help lists them; each flag is (spelling,
+# reader or None for a switch, default, the rest of its add_argument keywords), in help
+# order, and a default of ... leaves the flag out of args unless it is given
 _SUBCOMMANDS = {
-    "vdim": ("virtual dimension of the supermap moduli", _vdim_flags, _cmd_vdim),
-    "chi": ("super Euler characteristic of a bundle spec", _chi_flags, _cmd_chi),
-    "grr-check": ("randomized Riemann-Roch identity sweep", _grr_check_flags, _cmd_grr_check),
-    "table": ("sweep parameter ranges to CSV", _table_flags, _cmd_table),
-    "identities": ("characteristic-class identity suites", _identities_flags, _cmd_identities),
+    "vdim": ("virtual dimension of the supermap moduli", (
+        ("--target", str, "psuper", {"choices": list(TARGET_KEYS)}),
+        # a target flag is in args only when given, so one the kind does not read can be refused
+        *[("--" + k.replace("_", "-"), read, ..., {}) for k, (read, _) in _TARGET_FLAGS.items()],
+        ("--g", _int, 0, {"help": "genus"}),
+        ("--ns", _int, 0, {"help": "Neveu-Schwarz punctures"}),
+        ("--rr", _int, 0, {"help": "Ramond-Ramond punctures"}),
+        ("--json", None, False, {"help": "print only the JSON document"}),
+        ("--use-paper-dimmod2-sign", None, False,
+         {"help": "use the (s+2) odd-part reading instead of the derived (s-2)"}),
+    ), _cmd_vdim),
+    "chi": ("super Euler characteristic of a bundle spec", (
+        ("--g", _int, 0, {"help": "genus"}),
+        ("--rr", _int, 0, {"help": "Ramond-Ramond punctures"}),
+        ("--bundle", str, None,
+         {"required": True, "help": "bundle spec as inline JSON or @path to a JSON file"}),
+        ("--json", None, False, {}),
+    ), _cmd_chi),
+    "grr-check": ("randomized Riemann-Roch identity sweep", (
+        ("--seed", _int, 0, {}),
+        ("--cases", _case_count, 1000, {}),
+        ("--json", None, False, {}),
+    ), _cmd_grr_check),
+    "table": ("sweep parameter ranges to CSV", (
+        ("--g", str, "0..3", {"help": "range, e.g. 0..3 or 0,2"}),
+        ("--ns", str, "0..4", {}),
+        ("--rr", str, "0,2,4,6", {}),
+        ("--r", str, "1..4", {}),
+        ("--s", str, "0..3", {}),
+        ("--d", str, "0..3", {}),
+        ("--csv", str, None, {"metavar": "PATH", "help": "output path (default stdout)"}),
+    ), _cmd_table),
+    "identities": ("characteristic-class identity suites", (
+        ("--seed", _int, 0, {}),
+        ("--cases", _case_count, 500, {}),
+        ("--json", None, False, {}),
+    ), _cmd_identities),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-        for name, value in vars(args).items():
-            # argparse drops the "--" of --flag=-- and stores an empty list, unchecked
-            if isinstance(value, list):
-                raise CliError(f"argument --{name.replace('_', '-')}: expected one argument")
+        args = _read_args(argv)
+        if args is None:
+            args = build_parser(argv).parse_args(argv)
+            for name, value in vars(args).items():
+                # argparse drops the "--" of --flag=-- and stores an empty list, unchecked
+                if isinstance(value, list):
+                    raise CliError(f"argument --{name.replace('_', '-')}: expected one argument")
         return _SUBCOMMANDS[args.subcommand][2](args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

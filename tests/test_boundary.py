@@ -7,7 +7,10 @@ often enough that the computing paths run too, not only the refusals.
 Every size drawn stays small: the assembled route stores one Chern root
 per unit of target rank, and ``grr-check``/``identities`` run one case
 per requested case.  The text readers of numbers accept and refuse
-exactly what the regular expressions they replaced did.
+exactly what the regular expressions they replaced did.  The CLI's own
+reader of the flag table either leaves a command line to argparse or
+reads it exactly as argparse does, and it reads the golden and the
+benchmark's command lines itself.
 """
 
 import argparse
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supergrr.cli import CliError, _int, _parse_range, main
+from supergrr.cli import CliError, _int, _parse_range, _read_args, build_parser, main
 from supergrr.grr import NonIntegralTwist
 from supergrr.modulidim import (
     ModuliParams,
@@ -31,6 +34,7 @@ from supergrr.modulidim import (
     vdim_closed,
 )
 from supergrr.superscalar import parse_rational
+from test_golden_cli import GOLDEN
 
 SMALL = st.integers(-6, 12)
 NATURAL = st.integers(0, 6)
@@ -164,13 +168,45 @@ BUNDLES = mostly(
 )
 
 
-def command(name: str, required: dict, optional: dict, switches: tuple[str, ...] = ()):
-    """argv for one subcommand: --flag=value pairs plus some of the switches."""
-    flags = st.fixed_dictionaries(required, optional=optional)
-    chosen = st.lists(st.sampled_from(switches), unique=True) if switches else st.just([])
-    return st.builds(
-        lambda values, on: [name, *[f"--{k}={v}" for k, v in values.items()], *on], flags, chosen
-    )
+# values that argparse reads apart from the rest: "--", empty, signed and non-ASCII numbers
+ODD_VALUES = st.sampled_from(["--", "", "-1", "-3/2", "-\u0663", "-0", "-x", "+2"])
+# tokens that spell no flag in full: help, "--", an unknown flag, a positional, a switch's value
+STRAY_TOKENS = st.sampled_from(["-h", "--help", "--", "--bogus", "stray", "-1", "--json=1"])
+# the one spoilt token of a draw, if any
+FAULTS = st.sampled_from([None, None, None, "abbreviate", "odd value", "repeat", "stray"])
+
+
+@st.composite
+def command(draw, name: str, required: dict, optional: dict, switches: tuple[str, ...] = ()):
+    """argv for one subcommand: its flags, each spelt --flag=value or --flag value, and some
+    of its switches, in any order.  In about half the draws one thing is spoilt: a flag or
+    switch abbreviated, given an odd value or repeated (a flag with a new value), or a stray
+    token put in."""
+    values = draw(st.fixed_dictionaries(required, optional=optional))
+    on = draw(st.lists(st.sampled_from(switches), unique=True)) if switches else []
+    # (flag, value or None for a switch, whether the value joins the flag with "=")
+    items = [(flag, value, draw(st.booleans())) for flag, value in values.items()]
+    items = draw(st.permutations(items + [(switch, None, False) for switch in on]))
+    fault = draw(FAULTS)
+    if items and fault in ("abbreviate", "odd value", "repeat"):
+        at = draw(st.integers(0, len(items) - 1))
+        flag, value, joined = items[at]
+        if fault == "abbreviate":
+            items[at] = (flag[: draw(st.integers(1, len(flag)))], value, joined)
+        elif fault == "odd value":
+            items[at] = (flag, draw(ODD_VALUES), joined)
+        else:
+            value = value if value is None else draw({**required, **optional}[flag])
+            items.insert(draw(st.integers(0, len(items))), (flag, value, joined))
+    tokens = [name]
+    for flag, value, joined in items:
+        if value is None:
+            tokens.append(f"--{flag}")
+        else:
+            tokens += [f"--{flag}={value}"] if joined else [f"--{flag}", value]
+    if fault == "stray":
+        tokens.insert(draw(st.integers(1, len(tokens))), draw(STRAY_TOKENS))
+    return tokens
 
 
 ARGVS = st.one_of(
@@ -183,12 +219,12 @@ ARGVS = st.one_of(
             "tau": mostly(st.builds(lambda p, q: f"{p}/{q}", SMALL, st.integers(1, 4)), JUNK_TEXT),
             "phi-int": INT_ARGS,
         },
-        ("--json", "--use-paper-dimmod2-sign"),
+        ("json", "use-paper-dimmod2-sign"),
     ),
-    command("chi", {"bundle": BUNDLES}, {"g": INT_ARGS, "rr": INT_ARGS}, ("--json",)),
+    command("chi", {"bundle": BUNDLES}, {"g": INT_ARGS, "rr": INT_ARGS}, ("json",)),
     command("table", {flag: RANGE_ARGS for flag in ("g", "ns", "rr", "r", "s", "d")}, {}),
-    command("grr-check", {"cases": CASE_ARGS}, {"seed": INT_ARGS}, ("--json",)),
-    command("identities", {"cases": CASE_ARGS}, {"seed": INT_ARGS}, ("--json",)),
+    command("grr-check", {"cases": CASE_ARGS}, {"seed": INT_ARGS}, ("json",)),
+    command("identities", {"cases": CASE_ARGS}, {"seed": INT_ARGS}, ("json",)),
 )
 
 
@@ -197,7 +233,10 @@ ARGVS = st.one_of(
 def test_cli_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse prints the help and exits
+            code = stop.code
     message = err.getvalue()
     assert code in (0, 1, 2), argv
     if code == 0:
@@ -205,6 +244,101 @@ def test_cli_exits_cleanly(argv):
     if code == 1:
         one_line = message.endswith("\n") and message.count("\n") == 1
         assert message.startswith("error: ") and one_line, (argv, message)
+
+
+def typed(args: dict) -> dict:
+    return {name: (type(value), value) for name, value in args.items()}
+
+
+@settings(deadline=None, max_examples=400)
+@given(ARGVS)
+def test_the_flag_table_reads_what_argparse_reads(argv):
+    # the reader either declines or returns exactly argparse's args, and it
+    # declines every command line that argparse refuses or answers with help
+    args = _read_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            expected = vars(build_parser(argv).parse_args(argv))
+    except (CliError, SystemExit):
+        assert args is None, argv
+        return
+    assert args is None or typed(vars(args)) == typed(expected), argv
+
+
+# a command line for each rule by which the reader leaves one to argparse
+DECLINED = [
+    [],
+    ["nope"],
+    ["vdim", "--tar", "point"],
+    ["vdim", "-h"],
+    ["vdim", "--help"],
+    ["vdim", "--", "--g", "1"],
+    ["vdim", "stray"],
+    ["vdim", "--json=1"],
+    ["vdim", "--g"],
+    ["vdim", "--g", ""],
+    ["table", "--csv="],
+    ["vdim", "--g", "-\u0663"],
+    ["vdim", "--tau", "-3/2"],
+    ["table", "--g=--"],
+    ["table", "--g", "--", "--ns", "1"],
+    ["vdim", "--g", "x"],
+    ["identities", "--cases", "0"],
+    ["vdim", "--target", "x"],
+    ["chi", "--g", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_flag_table_leaves_the_rest_to_argparse(argv):
+    assert _read_args(argv) is None
+
+
+def assert_read_as_argparse_reads(argv):
+    args = _read_args(argv)
+    assert args is not None, argv
+    assert typed(vars(args)) == typed(vars(build_parser(argv).parse_args(argv))), argv
+
+
+@st.composite
+def bench_argvs(draw):
+    """A command line of the shape the cli_calls benchmark runs, over wider draws."""
+    g, n_ns, n_rr = draw(NATURAL), draw(NATURAL), draw(NATURAL.map(lambda n: 2 * n))
+    r, s, d = draw(st.integers(1, 6)), draw(NATURAL), draw(NATURAL)
+    src = ["--g", str(g), "--ns", str(n_ns), "--rr", str(n_rr)]
+    tau, phi_int = draw(DEGREE_DATA), draw(DEGREE_DATA)
+    bundle = {"even_degs": draw(st.lists(SMALL, max_size=4))}
+    bundle["odd_degs"] = draw(st.lists(SMALL, max_size=4))
+    ranges = [f"{g}..{g + 1}", f"0..{n_ns}", "0,2", str(r), "0..1", f"0..{d}"]
+    return draw(st.sampled_from([
+        ["vdim", "--target", "psuper", "--r", str(r), "--s", str(s), "--d", str(d), *src],
+        ["vdim", "--target", "custom", "--r", str(r), "--s", str(s),
+         f"--tau={tau}", f"--phi-int={phi_int}", *src],
+        ["vdim", "--target", "point", *src],
+        ["chi", "--g", str(g), "--rr", str(n_rr), "--bundle", json.dumps(bundle)],
+        ["table", *[t for pair in zip(["--g", "--ns", "--rr", "--r", "--s", "--d"], ranges)
+                    for t in pair]],
+        ["grr-check", "--seed", str(g * 10**5 + d), "--cases", "50"],
+        ["identities", "--seed", str(n_ns * 10**5 + s), "--cases", "5"],
+    ]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(bench_argvs())
+def test_the_flag_table_reads_the_bench_command_lines(argv):
+    assert_read_as_argparse_reads(argv)
+
+
+# the golden command lines, and repeats, of which the last wins
+READ = {name: argv for name, (argv, _, _) in GOLDEN.items()} | {
+    "vdim-repeats": ["vdim", "--g", "-1", "--g=2", "--json", "--json", "--target=point"],
+    "table-repeats": ["table", "--g", "-1", "--g", "1..2", "--csv", "a", "--csv=b"],
+}
+
+
+@pytest.mark.parametrize("argv", list(READ.values()), ids=list(READ))
+def test_the_flag_table_reads_the_golden_command_lines_and_repeats(argv):
+    assert_read_as_argparse_reads(argv)
 
 
 # the integer grammar as regular expressions, before every reader shared superscalar.is_int_text

@@ -4,7 +4,10 @@ Together they cost more than a tenth of a `supergrr` call's wall time,
 so they must stay out of the import graph of the package and its CLI.
 Nor does importing the CLI load what only some subcommands use: `json`
 (vdim, chi and every --json), `csv` (table), the suites and `random`
-(grr-check, identities), or `typing` and `pathlib`, which nothing needs.
+(grr-check, identities), `argparse`, which only help and errors need,
+or `typing` and `pathlib`, which nothing needs.  A well-formed command of
+each subcommand runs without argparse and the `gettext` and `locale` it
+loads; `--help` still loads it.
 
 The class kernels on P^r are compiled on first use, never at import,
 so importing the CLI leaves every kernel cache empty.  So are the
@@ -25,7 +28,8 @@ import supergrr
 
 SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
-UNUSED_AT_IMPORT = ("typing", "pathlib", "json", "csv", "random", "supergrr.suites")
+UNUSED_AT_IMPORT = ("typing", "pathlib", "json", "csv", "random", "supergrr.suites", "argparse")
+HELP_AND_ERROR_IMPORTS = ("argparse", "gettext", "locale")
 KERNEL_CACHES = ("_convolution_kernel", "_exp_kernel", "_power_sum_kernel")
 
 
@@ -83,18 +87,30 @@ def test_importing_the_cli_builds_no_curve_class():
     assert proc.stdout.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["vdim", "--target", "psuper", "--r", "1", "--s", "1", "--d", "1", "--g", "0"],
-        ["grr-check", "--seed", "1", "--cases", "5"],
-    ],
-    ids=["vdim", "grr-check"],
-)
-def test_module_invocation_loads_no_slow_module(argv):
+WELL_FORMED = {
+    "vdim": ["vdim", "--target", "psuper", "--r", "1", "--s", "1", "--d", "1", "--g", "0"],
+    "chi": ["chi", "--g", "1", "--rr", "2", "--bundle", '{"even_degs": [1], "odd_degs": [0]}'],
+    "table": ["table", "--g", "0", "--ns", "0..1", "--rr", "0", "--r", "1", "--s", "0", "--d=0"],
+    "grr-check": ["grr-check", "--seed", "1", "--cases", "5"],
+    "identities": ["identities", "--seed=2", "--cases", "1", "--json"],
+}
+
+
+def _imported_by(*argv: str) -> set[str]:
     # -X importtime logs every module the run imports, one per stderr line
     proc = _run_fresh("-X", "importtime", "-m", "supergrr", *argv)
     assert proc.returncode == 0, proc.stderr
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+@pytest.mark.parametrize("argv", list(WELL_FORMED.values()), ids=list(WELL_FORMED))
+def test_module_invocation_loads_no_slow_module(argv):
+    loaded = _imported_by(*argv)
     assert "supergrr.cli" in loaded
     assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+    unused = set(HELP_AND_ERROR_IMPORTS)
+    assert loaded.isdisjoint(unused), sorted(loaded & unused)
+
+
+def test_help_still_loads_argparse():
+    assert "argparse" in _imported_by("vdim", "--help")
