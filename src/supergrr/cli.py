@@ -92,10 +92,12 @@ def build_parser(argv: list[str] | None = None):
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """The args of a well-formed command line, read from the flag table; None leaves to argparse
-    help, abbreviations, "--", positionals, a switch given a value, a missing, empty or "--"
-    value, a separate value that starts with "-" but is no -digits integer, a value its reader
-    or choices refuse, and a missing required flag."""
+    """The args of a well-formed command line, read from the flag table, or None.
+
+    None leaves to argparse help, abbreviations, "--", positionals, a switch given a
+    value, a missing, empty or "--" value, a separate value that starts with "-" but is
+    no -digits integer, a value its reader or choices refuse, and a missing required flag.
+    """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     flags = {flag[0]: flag for flag in _SUBCOMMANDS[argv[0]][1]}

@@ -247,6 +247,7 @@ def test_cli_exits_cleanly(argv):
 
 
 def typed(args: dict) -> dict:
+    """Each value with its type, so that 1 and Fraction(1), or 1 and True, differ."""
     return {name: (type(value), value) for name, value in args.items()}
 
 
