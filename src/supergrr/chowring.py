@@ -16,7 +16,9 @@ hash compare it field by field; the product convolves each component
 over the degree pairs i + j <= top, then makes one gcd reduction.
 The SuperScalar coefficient of degree k, body = (x+ + x-)/2 and
 soul = (x+ - x-)/2, is rebuilt only at the boundary (coeffs,
-coefficient, integrate, integrate_product and JSON).
+coefficient, integrate, integrate_product and JSON) by _scalar.  An
+answer that is only printed skips it: _scalar_json writes the same
+{"body", "soul"} strings straight from the integers.
 A coefficient is a zero divisor of Q[P] exactly when one of its two
 values vanishes.
 
@@ -395,6 +397,17 @@ def _scalar(plus: int, minus: int, denominator: int) -> SuperScalar:
     """The SuperScalar whose values at P = +1 and P = -1 are plus and minus over denominator."""
     twice = 2 * denominator
     return SuperScalar(Fraction(plus + minus, twice), Fraction(plus - minus, twice))
+
+
+def _scalar_json(plus: int, minus: int, denominator: int) -> dict:
+    """_scalar(plus, minus, denominator).to_json() for denominator >= 1, by one gcd per part."""
+    twice = 2 * denominator
+    out = {}
+    for key, numerator in (("body", plus + minus), ("soul", plus - minus)):
+        common = gcd(numerator, twice)
+        den = twice // common
+        out[key] = f"{numerator // common}/{den}" if den != 1 else str(numerator // common)
+    return out
 
 
 def _split(values: list[SuperScalar]) -> tuple[list[int], list[int], int]:

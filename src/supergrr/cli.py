@@ -28,17 +28,17 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .chowring import _scalar
+from .chowring import _scalar, _scalar_json
 from .grr import SplitSupercurve, chi_super, rr_oracle
 from .modulidim import (
     TARGET_KEYS,
     ModuliParams,
     TargetSpec,
+    _bosonic_value,
     _closed_values,
     _less_gauge,
     _same_values,
     _tangent_values,
-    bosonic_dimension,
     evaluate_request,
     properness_hint,
 )
@@ -319,7 +319,9 @@ def _cmd_table(args) -> int:
         writer.writerow(CSV_COLUMNS)
         rows = 0
         # chi(tangent) does not read n_ns, so rows of one genus that differ only in
-        # n_ns share it; at most TANGENTS_KEPT are kept, so memory stays bounded
+        # n_ns share it; at most TANGENTS_KEPT are kept, so memory stays bounded.
+        # A row is written from the closed triple and the bosonic integer; a
+        # SuperScalar is built only to word a consistency failure.
         tangents, genus = {}, None
         for point in _grid(axes):
             params, target = ModuliParams(*point[:3]), TargetSpec.psuper(*point[3:])
@@ -331,16 +333,16 @@ def _cmd_table(args) -> int:
                 if len(tangents) < TANGENTS_KEPT:
                     tangents[point[2:]] = tangent
             closed, assembled = _closed_values(params, target), _less_gauge(params, tangent)
-            value = _scalar(*closed)
             if not _same_values(closed, assembled):
                 row = " ".join([f"{name}={v}" for name, v in zip(CSV_COLUMNS, point)])
                 return rows, (
-                    f"consistency failure at {row}: closed formula {value} "
+                    f"consistency failure at {row}: closed formula {_scalar(*closed)} "
                     f"!= assembled route {_scalar(*assembled)}"
                 )
-            bosonic = bosonic_dimension(params, target)
+            value = _scalar_json(*closed)
+            bosonic = _bosonic_value(params, target)
             proper = properness_hint(target, params)
-            writer.writerow([*point, value.body, value.soul, bosonic, proper])
+            writer.writerow([*point, value["body"], value["soul"], bosonic, proper])
             rows += 1
         return rows, None
 

@@ -27,13 +27,17 @@ Each route is an integer triple (plus, minus, q): its values at P = +1
 and P = -1 over one denominator q, as grr._chi_values returns them.  The
 closed triple is over the common denominator of the target's degree data;
 the assembled triple is _chi_values of the restricted tangent less the
-gauge counts.  vdim_closed and vdim_assembled are their public SuperScalar
-forms, _scalar of each triple.  The consistency check of evaluate_request
-and of the table command is an exact integer comparison of the two
-triples, by cross-multiplication, so it builds no Fraction.  chi_gauge and
-bosonic_dimension compute in integers alone.  The closed route stays
-independent: its triple reads neither the assembled route nor chi_gauge,
-and bosonic_dimension does not read it.
+gauge counts.  The consistency check of evaluate_request and of the table
+command is an exact integer comparison of the two triples, by
+cross-multiplication, so it builds no Fraction.  Both render their
+answers from the triples with chowring._scalar_json, and the bosonic
+dimension from the integer _bosonic_value, so no SuperScalar stands
+between a request and its response.  _scalar builds only the public
+SuperScalar forms, vdim_closed and vdim_assembled, and the text of a
+table row whose routes differ.  chi_gauge and bosonic_dimension compute
+in integers alone.  The closed route stays independent: its triple reads
+neither the assembled route nor chi_gauge, and bosonic_dimension does not
+read it.
 
 The closed formula's odd part carries a coefficient (1-g)(s-2).  An
 alternate (1-g)(s+2) reading of that factor exists in print; the two
@@ -49,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .chowring import _scalar
+from .chowring import _scalar, _scalar_json
 from .grr import SplitSupercurve, _chi_values, _susy_curve, parse_ramond_count
 from .superbundle import SuperBundle
 from .superscalar import (
@@ -303,10 +307,15 @@ def bosonic_dimension(params: ModuliParams, target: TargetSpec) -> Fraction:
     """
     if target.kind != "psuper":
         raise ValueError("bosonic dimension is defined for projective-superspace targets")
+    return Fraction(_bosonic_value(params, target))
+
+
+def _bosonic_value(params: ModuliParams, target: TargetSpec) -> int:
+    """bosonic_dimension as an int, for a target already known to be P^{r|s}."""
     g, n_ns, n_rr = params.g, params.n_ns, params.n_rr
     r, s, d = target.r, target.s, target.d
     spin_dim = (r - 3) * (1 - g) + n_ns + n_rr + d * (r + 1)
-    return Fraction(spin_dim + s * (d + n_rr // 2))
+    return spin_dim + s * (d + n_rr // 2)
 
 
 def properness_hint(target: TargetSpec, params: ModuliParams) -> str:
@@ -342,20 +351,20 @@ def evaluate_request(request: dict, *, alternate_odd_sign: bool = False) -> dict
     target = TargetSpec.from_json(require_key(request, "target", "request"))
     closed_values = _closed_values(params, target, alternate_odd_sign)
     assembled_values = _assembled_values(params, target)
-    closed = _scalar(*closed_values).to_json()
+    closed = _scalar_json(*closed_values)
     consistent = _same_values(closed_values, assembled_values)
     response = {
         "params": params.to_json(),
         "target": target.to_json(),
         "odd_part_reading": "s+2" if alternate_odd_sign else "s-2",
         "closed": closed,
-        "assembled": dict(closed) if consistent else _scalar(*assembled_values).to_json(),
+        "assembled": dict(closed) if consistent else _scalar_json(*assembled_values),
         "consistent": consistent,
         "bosonic_dimension": None,
         "properness": None,
         "warnings": [],
     }
     if target.kind == "psuper":
-        response["bosonic_dimension"] = str(bosonic_dimension(params, target))
+        response["bosonic_dimension"] = str(_bosonic_value(params, target))
         response["properness"] = properness_hint(target, params)
     return response

@@ -18,6 +18,8 @@ from supergrr import (
 from supergrr.chowring import (
     _compile_kernel,
     _convolution_kernel,
+    _scalar,
+    _scalar_json,
     _sum_source,
     integrate_product,
     lowest_terms,
@@ -324,6 +326,44 @@ def test_integrate_product_builds_no_element(monkeypatch):
 def test_integrate_product_refuses_different_models(a, b):
     with pytest.raises(ModelMismatch):
         integrate_product(GradedElement.one(a), GradedElement.one(b))
+
+
+# -- rendering a triple ------------------------------------------------------------
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 7)
+@example(-12, 1)
+@example(-12, 18)
+@example(35, 14)
+def test_scalar_json_writes_a_part_as_str_of_its_fraction(numerator, denominator):
+    # plus = minus puts n/d in the body alone, plus = -minus in the soul alone
+    text = str(Fraction(numerator, denominator))
+    assert _scalar_json(numerator, numerator, denominator) == {"body": text, "soul": "0"}
+    assert _scalar_json(numerator, -numerator, denominator) == {"body": "0", "soul": text}
+
+
+@given(st.integers(), st.integers(), st.integers(min_value=1))
+@example(3, -5, 4)
+@example(6, 6, 3)
+@example(0, 0, 5)
+def test_scalar_json_is_the_json_of_the_scalar(plus, minus, denominator):
+    assert _scalar_json(plus, minus, denominator) == _scalar(plus, minus, denominator).to_json()
+
+
+@pytest.mark.parametrize("denominator", [1, 3], ids=["whole", "fraction"])
+def test_scalar_json_refuses_a_numerator_str_refuses(denominator):
+    # past 4300 digits int to str raises (CPython 3.10.7+); the triple raises the same
+    numerator = 10**4400 + 1
+    try:
+        expected = str(Fraction(numerator, denominator))
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            _scalar_json(numerator, numerator, denominator)
+        assert str(info.value) == str(error)
+    else:
+        assert _scalar_json(numerator, numerator, denominator)["body"] == expected
 
 
 # -- misc ------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from supergrr import (
     vdim_closed,
 )
 import supergrr
-from supergrr import grr, modulidim
+from supergrr import cli, grr, modulidim
 from supergrr.grr import parse_ramond_count
 
 from shared import CUSTOM_TARGETS, SWEEP
@@ -644,6 +644,34 @@ def test_evaluate_request_reads_each_number_once(number_reads, target, reads):
     number_reads.clear()
     assert evaluate_request(request) == warm
     assert number_reads == ["g", "n_ns", "n_rr", *reads]
+
+
+def test_answers_are_rendered_without_a_superscalar(monkeypatch, capsys):
+    """evaluate_request and the table command print their triples; no SuperScalar is built."""
+    requests = [
+        _psuper_request((2, 1, 2, 3, 2, 2)),
+        {
+            "params": {"g": 2, "n_ns": 1, "n_rr": 2},
+            "target": {"kind": "custom", "r": 2, "s": 1, "tau": "7/3", "phi_int": -2},
+        },
+    ]
+    table = ["table", "--g", "0..2", "--ns", "0,3", "--rr", "0,2", "--r", "1..3",
+             "--s", "0..2", "--d", "0..2"]
+
+    def answers():
+        responses = [json.dumps(evaluate_request(request)) for request in requests]
+        code = cli.main(table)
+        return responses, code, capsys.readouterr()
+
+    # the warm call fills the per-curve caches, which may build scalars once
+    warm = answers()
+    assert warm[1] == 0 and warm[0][0].count('"consistent": true') == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SuperScalar was built between a request and its answer")
+
+    monkeypatch.setattr(SuperScalar, "__init__", refuse)
+    assert answers() == warm
 
 
 @pytest.mark.parametrize(
