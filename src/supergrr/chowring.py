@@ -12,8 +12,8 @@ Q x Q, so an element is stored as two plain rational coefficient vectors:
 its values at P = +1 and at P = -1.  Both are kept as integer numerators
 over one shared positive denominator, reduced so that the gcd of all
 numerators and the denominator is 1.  That form is canonical, so == and
-hash compare it field by field; the product convolves each component
-over the degree pairs i + j <= top, then makes one gcd reduction.
+hash compare it field by field; the product's kernel convolves each
+component over the degree pairs i + j <= top, then reduces by one gcd.
 The SuperScalar coefficient of degree k, body = (x+ + x-)/2 and
 soul = (x+ - x-)/2, is rebuilt only at the boundary (coeffs,
 coefficient, integrate, integrate_product and JSON) by _scalar.  An
@@ -26,20 +26,21 @@ That integer form has one home, shared with superbundle and grr:
 common_denominator puts Fractions over their least common denominator,
 lowest_terms divides two integer vectors and their denominator by
 their common gcd, check_model refuses operands over different models,
-and align brings two operands to the lcm of their denominators.
+and align brings two operands to the lcm of their denominators.  The
+product and exp kernels end in the same reduction (_lowest_terms_source).
 
-The convolution is straight-line code, generated and compiled once per
-width on first use, so no range iteration, index arithmetic or
-subscript is left in a product.  _compile_kernel is the one compiler of
+The product is straight-line code, generated and compiled once per
+width and sharing on first use, so no range iteration, index arithmetic
+or subscript is left in it.  _compile_kernel is the one compiler of
 such kernels, shared with superbundle's exp recurrence and power sums,
 and _sum_source writes their sums.  The source holds only names,
 operators and indices; a constant reaches a kernel through its
 namespace, since int to str conversion refuses more than 4300 digits.
 A kernel costs O(top**2) once.  All class kernels of P^1..P^6 together
-(this convolution, and superbundle's exp recurrence and power sums)
-compile in about 2.5 ms on first use (2.1-2.9 ms over 9 fresh
-processes, CPython 3.11); a width-257 convolution takes 0.24 s and a
-compiler peak near 50 MB.
+(both products, and superbundle's exp recurrence and power sums)
+compile in about 3.7 ms on first use (3.6-4.2 ms over 9 fresh
+processes, CPython 3.11); a width-257 product takes 0.27 s and a
+compiler peak near 90 MB, its shared variant 0.12 s and 46 MB.
 
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs
@@ -240,7 +241,7 @@ class GradedElement(Value):
         )
 
     def ring_mul(self, other: "GradedElement") -> "GradedElement":
-        """Product in the truncated ring: each component convolved, then one gcd reduction.
+        """Product in the truncated ring: each component convolved and reduced by one kernel.
 
         Degree k of each component sums a[i] * b[k - i] over i = 0..k, so
         only the pairs i + j <= top are multiplied.  When both operands
@@ -248,15 +249,14 @@ class GradedElement(Value):
         and P = -1), it is convolved once and the product shares it too.
         """
         check_model(self, other)
-        convolve = _convolution_kernel(len(self.plus))
-        plus = convolve(self.plus, other.plus)
+        den = self.denominator * other.denominator
         if self.minus is self.plus and other.minus is other.plus:
-            minus = plus
-        else:
-            minus = convolve(self.minus, other.minus)
-        return GradedElement(
-            self.model, *lowest_terms(plus, minus, self.denominator * other.denominator)
+            both, den = _product_kernel(len(self.plus), True)(self.plus, other.plus, den)
+            return GradedElement(self.model, both, both, den)
+        product = _product_kernel(len(self.plus), False)(
+            self.plus, self.minus, other.plus, other.minus, den
         )
+        return GradedElement(self.model, *product)
 
     def scale(self, value: SuperScalar | int | Fraction) -> "GradedElement":
         (p,), (m,), denominator = _split([coerce(value)])
@@ -440,16 +440,39 @@ def _sum_source(terms: list[str]) -> str:
     return f"({_sum_source(terms[:half])}) + ({_sum_source(terms[half:])})"
 
 
-@lru_cache(maxsize=64)
-def _convolution_kernel(width: int):
-    """convolve(a, b): the list of sum_i a[i] * b[k - i] for k = 0..width-1, unrolled.
+def _lowest_terms_source(components: list[list[str]]) -> list[str]:
+    """A kernel's closing lines: each component of names as a tuple, and den, in lowest terms.
 
-    Both tuples are unpacked into locals, and each degree is one sum of
-    products.  Compiled on first use at O(width**2) cost: under 1 ms up
-    to width 7, 0.24 s at width 257.
+    g is the gcd of den > 0 and every name; unless it is 1, each is divided by it.
     """
-    a = ", ".join([f"a{i}" for i in range(width)])
-    b = ", ".join([f"b{i}" for i in range(width)])
-    degrees = [_sum_source([f"a{i} * b{k - i}" for i in range(k + 1)]) for k in range(width)]
-    lines = [f"{a}, = a", f"{b}, = b", f"return [{', '.join(degrees)}]"]
-    return _compile_kernel("convolve", "a, b", lines)
+    every = ", ".join([name for names in components for name in names])
+    whole = ", ".join([f"({', '.join(names)},)" for names in components])
+    divided = ", ".join([f"({', '.join([f'{n} // g' for n in c])},)" for c in components])
+    return [
+        f"g = gcd(den, {every})",
+        "if g == 1:",
+        f"    return {whole}, den",
+        f"return {divided}, den // g",
+    ]
+
+
+@lru_cache(maxsize=128)
+def _product_kernel(width: int, shared: bool):
+    """product(a, b, den) if shared, else product(a, a_minus, b, b_minus, den), unrolled.
+
+    Each component is convolved, degree k being sum_i a[i] * b[k - i], and
+    (plus, minus, den), or (both, den) if shared, comes back in lowest terms.
+    The tuples are unpacked into locals, and each degree is one sum of products.
+    Compiled on first use at O(width**2) cost: under 1 ms up to width 7, 0.27 s
+    at width 257.
+    """
+    lines, components = [], []
+    for a, b, out in [("a", "b", "p"), ("a_minus", "b_minus", "m")][: 1 if shared else 2]:
+        lines.append(", ".join([f"a{i}" for i in range(width)]) + f", = {a}")
+        lines.append(", ".join([f"b{i}" for i in range(width)]) + f", = {b}")
+        for k in range(width):
+            lines.append(f"{out}{k} = {_sum_source([f'a{i} * b{k - i}' for i in range(k + 1)])}")
+        components.append([f"{out}{k}" for k in range(width)])
+    lines += _lowest_terms_source(components)
+    params = "a, b, den" if shared else "a, a_minus, b, b_minus, den"
+    return _compile_kernel("product", params, lines, {"gcd": gcd})

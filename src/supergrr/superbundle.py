@@ -45,8 +45,9 @@ multiplied by j R**(j-1), the weight the exp recurrence takes it with.
 
 Each kernel does its arithmetic once: sigma1_pair builds sigma_1 and
 its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
-sigma_1, ch for s = 0, c for even s) is reduced once by lowest_terms, its
-components sharing one tuple; the weights top!/k! * D**(top-k) of ch, td
+sigma_1, ch for s = 0, c for even s) is reduced once, its components
+sharing one tuple, td and sigma_1 inside their exp kernel and ch and c
+by lowest_terms; the weights top!/k! * D**(top-k) of ch, td
 and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
 ch's weighted numerators come from one helper, _character_numerators:
 chern_character reduces them into a class, and grr's chi_super pairs
@@ -63,7 +64,7 @@ _compile_kernel on first use, once per size alone: per top degree for
 the power sums, per width for the recurrence; R lives in the rows.  A
 kernel costs O(top**2) once (chowring's docstring gives the figure for
 P^1..P^6), and stays below the cost of the rows it is built for: at top
-256 the recurrence compiles in 0.25 s, _todd_rows takes about 0.9 s.
+256 the recurrence compiles in 0.21 s, _todd_rows takes about 0.9 s.
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .chowring import (
     ChowModel,
     GradedElement,
     _compile_kernel,
+    _lowest_terms_source,
     _sum_source,
     align,
     common_denominator,
@@ -359,26 +361,26 @@ def _scaled_exp(
     f_k = F_k / (k! (R D)**k) with F_0 = 1 and
     F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j): the recurrence
     k f_k = sum_j j g_j f_(k-j) cleared of denominators, put over
-    divisor top! (R D)**top by the cached factorial weights.
+    divisor top! (R D)**top by the cached factorial weights and reduced.
     """
     weights = _factorial_weights(model.top_degree, den)
-    series = _exp_kernel(len(exponent))(exponent, scale)
-    weighted = [w * f for w, f in zip(weights, series)]
-    return GradedElement(model, *lowest_terms(weighted, weighted, weights[0] * divisor))
+    series, den = _exp_kernel(len(exponent))(exponent, scale, weights, weights[0] * divisor)
+    return GradedElement(model, series, series, den)
 
 
 @lru_cache(maxsize=64)
 def _exp_kernel(width: int):
-    """exp(w, f0): _scaled_exp's series F_0 = f0, F_1, .., F_(width-1), unrolled.
+    """exp(w, f0, weights, den): _scaled_exp's series, weighted, over den in lowest terms.
 
-    F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j), with the factor 1 of j = 1
-    left out.  The recurrence is linear, so F_0 = f0 scales every F_k.
-    The kernel depends on its width alone, so td, sigma_1 and its inverse
-    share it.  Each (k-1)!/(k-j)! is a name in the kernel's namespace,
-    which holds nothing else.  Compiled on first use at O(width**2) cost:
-    15 ms at width 65, 0.25 s at width 257.
+    The series is F_0 = f0 and F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j),
+    the factor 1 of j = 1 left out: linear, so f0 scales every F_k.  The
+    kernel returns each weights[k] * F_k, and den, in lowest terms.  It
+    depends on its width alone, so td, sigma_1 and its inverse share it.
+    Each (k-1)!/(k-j)! is a name in its namespace, which holds nothing
+    else but gcd.  Compiled on first use at O(width**2) cost: 12 ms at
+    width 65, 0.21 s at width 257.
     """
-    constants = {}
+    constants = {"gcd": gcd}
     lines = [", ".join([f"w{j}" for j in range(width)]) + ", = w"]
     for k in range(1, width):
         terms = [f"w1 * f{k - 1}"]
@@ -388,8 +390,10 @@ def _exp_kernel(width: int):
             constants[f"c{k}_{j}"] = falling
             terms.append(f"c{k}_{j} * w{j} * f{k - j}")
         lines.append(f"f{k} = {_sum_source(terms)}")
-    lines.append(f"return [{', '.join([f'f{k}' for k in range(width)])}]")
-    return _compile_kernel("exp", "w, f0", lines, constants)
+    lines.append(", ".join([f"v{k}" for k in range(width)]) + ", = weights")
+    lines += [f"e{k} = v{k} * f{k}" for k in range(width)]
+    lines += _lowest_terms_source([[f"e{k}" for k in range(width)]])
+    return _compile_kernel("exp", "w, f0, weights, den", lines, constants)
 
 
 def _weighted_row(den: int, row: Sequence[int]) -> tuple[int, ...]:

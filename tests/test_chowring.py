@@ -17,7 +17,7 @@ from supergrr import (
 )
 from supergrr.chowring import (
     _compile_kernel,
-    _convolution_kernel,
+    _product_kernel,
     _scalar,
     _scalar_json,
     _sum_source,
@@ -175,12 +175,20 @@ def same_width_vectors(draw, count):
     return [tuple(draw(st.lists(BIG, min_size=width, max_size=width))) for _ in range(count)]
 
 
-@given(same_width_vectors(2))
-@example([(2**90,) * 24, (-(2**90),) * 24])
-@example([(0,), (-7,)])
-def test_convolution_kernel_is_its_definition(vectors):
-    a, b = vectors
-    assert _convolution_kernel(len(a))(a, b) == convolution_by_loop(a, b)
+@given(same_width_vectors(4), st.integers(1, 2**40))
+@example([(2**90,) * 24, (-(2**90),) * 24, (3,) * 24, (0,) * 24], 2**40)
+@example([(0,), (-7,), (0,), (5,)], 1)
+@example([(2, 4), (2, 2), (3, 6), (3, 0)], 12)
+def test_convolution_kernel_is_its_definition(vectors, den):
+    # the product kernel convolves each component and returns both in lowest terms over den;
+    # its shared variant convolves one pair and returns the one tuple both components share
+    a, a_minus, b, b_minus = vectors
+    plus, minus = convolution_by_loop(a, b), convolution_by_loop(a_minus, b_minus)
+    assert _product_kernel(len(a), False)(a, a_minus, b, b_minus, den) == lowest_terms(
+        plus, minus, den
+    )
+    both, _, reduced = lowest_terms(plus, plus, den)
+    assert _product_kernel(len(a), True)(a, b, den) == (both, reduced)
 
 
 @given(same_width_vectors(3), st.integers(1, 2**40), st.integers(1, 2**40), st.booleans())

@@ -11,7 +11,9 @@ loads; `--help` still loads it.
 
 The class kernels on P^r are compiled on first use, never at import,
 so importing the CLI leaves every kernel cache empty.  So are the
-per-curve classes of the Riemann-Roch engine.
+per-curve classes of the Riemann-Roch engine.  A well-formed `vdim`
+then compiles exactly three kernels, so no change adds per-process
+compile cost unseen.
 
 The children import the same copy of the package as the tests, from the
 checkout's `src` or from an installed copy alike.
@@ -30,7 +32,7 @@ SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
 UNUSED_AT_IMPORT = ("typing", "pathlib", "json", "csv", "random", "supergrr.suites", "argparse")
 HELP_AND_ERROR_IMPORTS = ("argparse", "gettext", "locale")
-KERNEL_CACHES = ("_convolution_kernel", "_exp_kernel", "_power_sum_kernel")
+KERNEL_CACHES = ("_product_kernel", "_exp_kernel", "_power_sum_kernel")
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -94,6 +96,25 @@ WELL_FORMED = {
     "grr-check": ["grr-check", "--seed", "1", "--cases", "5"],
     "identities": ["identities", "--seed=2", "--cases", "1", "--json"],
 }
+
+
+def test_a_vdim_call_compiles_three_kernels():
+    # what a short process pays to compile: power sums at top 1, exp at width 2 and the
+    # unshared product at width 2; asking for each again afterwards compiles nothing more
+    probe = (
+        "import contextlib, io, supergrr.cli\n"
+        "from supergrr.chowring import _product_kernel\n"
+        "from supergrr.superbundle import _exp_kernel, _power_sum_kernel\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = supergrr.cli.main({WELL_FORMED['vdim']!r})\n"
+        "caches = (_product_kernel, _exp_kernel, _power_sum_kernel)\n"
+        "compiled = [c.cache_info().misses for c in caches]\n"
+        "_product_kernel(2, False), _exp_kernel(2), _power_sum_kernel(1)\n"
+        "print(code, compiled, [c.cache_info().misses for c in caches])\n"
+    )
+    proc = _run_fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 [1, 1, 1] [1, 1, 1]\n"
 
 
 def _imported_by(*argv: str) -> set[str]:

@@ -1,4 +1,5 @@
-"""ch, c, td, sigma_1, sigma_1**-1 and the integral of ch td on P^r against torus localization.
+"""ch, c, td, sigma_1, sigma_1**-1, the products ch td and ch c, and the integral of ch td
+on P^r against torus localization.
 
 A torus acts on P^r with distinct integer weights w_0..w_r.  At the
 fixed point p_i the hyperplane class h restricts to -w_i t, and the
@@ -17,7 +18,10 @@ lists and uses nothing from chowring or superbundle, so it shares no
 arithmetic with the truncated ring or the integer form.  The sum cannot
 depend on the weights, so every case draws two weight sets and requires
 one answer from both.  The integral of ch td(T) multiplies in, at p_i,
-td of the tangent weights.
+td of the tangent weights.  The products ch td and ch c are built by
+ring_mul.  td is always equal at P = +1 and P = -1, ch only without odd
+roots and c only for an even count of them, so the two products reach
+both of ring_mul's kernels.
 """
 
 import random
@@ -70,9 +74,11 @@ def todd_line(n):
 
 
 def restricted_classes(r, even, odd, weight):
-    """Per P in (+1, -1): ch, c, td, sigma_1(odd) and its inverse at the fixed point of weight w.
+    """Per P in (+1, -1): ch, c, td, sigma_1(odd), its inverse, ch td and ch c at the fixed
+    point of weight w.
 
-    A root of degree a restricts to -a w t there.
+    A root of degree a restricts to -a w t there, and a product of classes restricts to the
+    product of their series.
     """
     n = r + 1
     e, one = exp_series(n), [Fraction(1)] + [Fraction(0)] * r
@@ -91,7 +97,9 @@ def restricted_classes(r, even, odd, weight):
     for parity in (1, -1):
         ch = [a - parity * m for a, m in zip(even_ch, odd_ch)]
         sign = parity ** len(odd)
-        classes[parity] = (ch, [sign * x for x in c], td, sigma1, sigma1_inverse)
+        signed_c = [sign * x for x in c]
+        products = (mul(ch, td), mul(ch, signed_c))
+        classes[parity] = (ch, signed_c, td, sigma1, sigma1_inverse, *products)
     return classes
 
 
@@ -100,7 +108,7 @@ def localized_coefficients(r, even, odd, weights):
 
     [t**r] alpha(-w t) (-w t)**(r-k) is alpha's coefficient of t**k times (-w)**(r-k).
     """
-    sums = {parity: [[Fraction(0)] * (r + 1) for _ in range(5)] for parity in (1, -1)}
+    sums = {parity: [[Fraction(0)] * (r + 1) for _ in NAMES] for parity in (1, -1)}
     chi = {1: Fraction(0), -1: Fraction(0)}
     for i, w in enumerate(weights):
         tangent = [v - w for j, v in enumerate(weights) if j != i]
@@ -116,7 +124,7 @@ def localized_coefficients(r, even, odd, weights):
 
 # -- the check ----------------------------------------------------------------------------
 
-NAMES = ("ch", "c", "td", "sigma1", "sigma1**-1")
+NAMES = ("ch", "c", "td", "sigma1", "sigma1**-1", "ch*td", "ch*c")
 
 
 def degree(rng):
@@ -136,6 +144,7 @@ def test_classes_match_bott_sum(r):
         bundle = SuperBundle.from_degrees(model, even, odd)
         classes = [bundle.chern_character(), bundle.chern_total(), bundle.todd()]
         classes += SuperBundle.from_degrees(model, (), odd).sigma1_pair()
+        classes += [classes[0].ring_mul(classes[2]), classes[0].ring_mul(classes[1])]
         first, second = (
             localized_coefficients(r, even, odd, rng.sample(range(-12, 13), r + 1))
             for _ in range(2)

@@ -1,7 +1,7 @@
 import json
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given
@@ -17,7 +17,7 @@ from supergrr import (
     SuperBundle,
     SuperScalar,
 )
-from supergrr.chowring import integrate_product
+from supergrr.chowring import integrate_product, lowest_terms
 from supergrr.superbundle import (
     _exp_kernel,
     _factorial_weights,
@@ -274,7 +274,11 @@ def test_exp_kernel_is_its_recurrence(case, den, scale, divisor):
     top, row_den, exponent = case
     series = exp_series_by_loop(exponent, row_den, scale)
     weighted = [0] + [j * row_den ** (j - 1) * exponent[j] for j in range(1, top + 1)]
-    assert _exp_kernel(top + 1)(weighted, scale) == series
+    weights = _factorial_weights(top, row_den * den)
+    denominator = weights[0] * divisor
+    terms = [w * f for w, f in zip(weights, series)]
+    both, _, reduced = lowest_terms(terms, terms, denominator)
+    assert _exp_kernel(top + 1)(weighted, scale, weights, denominator) == (both, reduced)
     model = ChowModel.proj_space(top)
     built = _scaled_exp(model, weighted, row_den * den, scale=scale, divisor=divisor)
     over = [divisor * factorial(k) * (row_den * den) ** k for k in range(top + 1)]
@@ -297,8 +301,9 @@ def test_weighted_row_is_its_definition(case):
 
 def exp_of_weighted_row(den, row):
     """exp of the series sum_j row_j / den x**j, from a row weighted by _weighted_row."""
-    series = _exp_kernel(len(row))(row, 1)
-    return [Fraction(f, factorial(k) * den**k) for k, f in enumerate(series)]
+    weights = _factorial_weights(len(row) - 1, den)
+    series, over = _exp_kernel(len(row))(row, 1, weights, weights[0])
+    return [Fraction(f, over) for f in series]
 
 
 @pytest.mark.parametrize("top", [1, 2, 5, 12, 24])
@@ -316,7 +321,7 @@ def test_cached_rows_are_the_logarithms_of_their_series(top):
 
 
 def test_td_and_sigma1_share_one_exp_kernel_per_width():
-    # curves and P^1 share width 2; every name in a kernel's namespace is (k-1)!/(k-j)!
+    # curves and P^1 share width 2; every name in a kernel's namespace but gcd is (k-1)!/(k-j)!
     _exp_kernel.cache_clear()
     models = [C0, C2] + [ChowModel.proj_space(r) for r in range(1, 7)]
     for model in models:
@@ -328,8 +333,9 @@ def test_td_and_sigma1_share_one_exp_kernel_per_width():
         constants = {
             name: value
             for name, value in kernel.__globals__.items()
-            if name not in ("__builtins__", kernel.__name__)
+            if name not in ("__builtins__", kernel.__name__, "gcd")
         }
+        assert kernel.__globals__["gcd"] is gcd
         assert len(constants) == (width - 1) * (width - 2) // 2
         for name, value in constants.items():
             k, j = map(int, re.fullmatch(r"c(\d+)_(\d+)", name).groups())
