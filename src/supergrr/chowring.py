@@ -27,20 +27,20 @@ common_denominator puts Fractions over their least common denominator,
 lowest_terms divides two integer vectors and their denominator by
 their common gcd, check_model refuses operands over different models,
 and align brings two operands to the lcm of their denominators.  The
-product and exp kernels end in the same reduction (_lowest_terms_source).
+product and class kernels end in the same reduction (_lowest_terms_source).
 
 The product is straight-line code, generated and compiled once per
 width and sharing on first use, so no range iteration, index arithmetic
 or subscript is left in it.  _compile_kernel is the one compiler of
-such kernels, shared with superbundle's exp recurrence and power sums,
-and _sum_source writes their sums.  The source holds only names,
+such kernels, shared with superbundle's class kernels (ch, c, td and
+sigma_1), and _sum_source writes their sums.  The source holds only names,
 operators and indices; a constant reaches a kernel through its
 namespace, since int to str conversion refuses more than 4300 digits.
-A kernel costs O(top**2) once.  All class kernels of P^1..P^6 together
-(both products, and superbundle's exp recurrence and power sums)
-compile in about 3.7 ms on first use (3.6-4.2 ms over 9 fresh
-processes, CPython 3.11); a width-257 product takes 0.27 s and a
-compiler peak near 90 MB, its shared variant 0.12 s and 46 MB.
+A kernel costs O(top**2) once.  All kernels of P^1..P^6 together (both
+products, and superbundle's 24 class kernels) compile in 13-23 ms on
+first use (9 fresh processes on a loaded 2-CPU host, CPython 3.11);
+a width-257 product takes 0.27 s and a compiler peak near 90 MB, its
+shared variant 0.12 s and 46 MB.
 
 All stored classes are even-degree cohomological objects with Q[P]
 coefficients, so the ring is genuinely commutative: no Koszul signs
@@ -440,20 +440,23 @@ def _sum_source(terms: list[str]) -> str:
     return f"({_sum_source(terms[:half])}) + ({_sum_source(terms[half:])})"
 
 
-def _lowest_terms_source(components: list[list[str]]) -> list[str]:
+def _lowest_terms_source(components: list[list[str]], twice: bool = False) -> list[str]:
     """A kernel's closing lines: each component of names as a tuple, and den, in lowest terms.
 
     g is the gcd of den > 0 and every name; unless it is 1, each is divided by it.
+    With twice, the one component is returned as plus and minus, one tuple
+    (a class equal at P = +1 and P = -1).
     """
     every = ", ".join([name for names in components for name in names])
     whole = ", ".join([f"({', '.join(names)},)" for names in components])
     divided = ", ".join([f"({', '.join([f'{n} // g' for n in c])},)" for c in components])
-    return [
-        f"g = gcd(den, {every})",
-        "if g == 1:",
-        f"    return {whole}, den",
-        f"return {divided}, den // g",
-    ]
+
+    def closing(tuples: str, den: str) -> list[str]:
+        return [f"t = {tuples}", f"return t, t, {den}"] if twice else [f"return {tuples}, {den}"]
+
+    lines = [f"g = gcd(den, {every})", "if g == 1:"]
+    lines += [f"    {line}" for line in closing(whole, "den")]
+    return lines + closing(divided, "den // g")
 
 
 @lru_cache(maxsize=128)

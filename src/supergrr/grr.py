@@ -16,8 +16,8 @@ Riemann-Roch (chi = deg + rank.(1-g)) on the even and odd parts of
 gr U, read from gr_module's root degrees.  Both are exact and must
 agree, and both return the super Euler characteristic chi_S(U) =
 chi(even part) - P chi(odd part) as a SuperScalar.  chi_super pairs
-ch(U) as the unreduced numerators that chern_character would reduce, so
-it builds no class and reduces only its one result.
+ch(U), as chern_character's compiled kernel returns it in lowest terms,
+with that class, so ch has one path and chi_super builds no class.
 
 The twist deg L is an integer from construction, so gr needs no check
 of it.  SplitSupercurve.susy hands out one shared curve per genus and
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chowring import ChowModel, GradedElement, _pairing, _scalar, _shared_model, check_model
-from .superbundle import SuperBundle
+from .superbundle import SuperBundle, _class_kernel
 from .superscalar import SuperScalar, Value, parse_int, set_field
 
 
@@ -132,12 +132,14 @@ def chi_super(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:
 def _chi_values(curve: SplitSupercurve, bundle: SuperBundle) -> tuple[int, int, int]:
     """chi_super at P = +1 and P = -1, over one denominator: ch(U) against the curve's class.
 
-    ch(U) is paired as its unreduced numerators, so no class is built and
-    nothing is reduced; the one reduction is _scalar's, where a caller
-    wants a SuperScalar (evaluate_request compares the triples as they are).
+    ch(U) is the triple of chern_character's kernel (top degree 1 on a
+    curve), in lowest terms, so no class is built; the pairing is reduced
+    only by _scalar, where a caller wants a SuperScalar (evaluate_request
+    compares the triples as they are).
     """
     check_model(bundle, curve)
-    return _pairing(*bundle._character_numerators(), _curve_class(curve.genus, curve.deg_l))
+    character = _class_kernel("ch", 1)(bundle.even, bundle.odd, bundle.denominator)
+    return _pairing(*character, _curve_class(curve.genus, curve.deg_l))
 
 
 def chi_character_form(curve: SplitSupercurve, bundle: SuperBundle) -> SuperScalar:

@@ -14,7 +14,7 @@ j multiplies by sigma_1(N*), the star product divides one copy back
 out, and the twisted character ch_S divides by sigma_1(N*).  The inverse
 is the same closed form with the exponent negated and 2**-s in front
 (see superbundle), so no series inversion is needed.  The memo here
-wraps SuperBundle.sigma1_pair, which builds both from one exponent.
+wraps SuperBundle.sigma1_pair, which builds both with one kernel.
 
 On split P^{r|s}, gr O(k) = sum_j Lambda^j(O(-1)**s) (x) O(k), in parity
 j, has chi_S = sum_j C(s, j) (-P)**j chi(O(k - j)).  For N* = O(-1)**s,

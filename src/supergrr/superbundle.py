@@ -43,28 +43,26 @@ row is computed from its own defining series and cached per top degree,
 as integer numerators over a common denominator R, entry j already
 multiplied by j R**(j-1), the weight the exp recurrence takes it with.
 
-Each kernel does its arithmetic once: sigma1_pair builds sigma_1 and
-its inverse from one exponent; a class equal at P = +1 and P = -1 (td,
-sigma_1, ch for s = 0, c for even s) is reduced once, its components
-sharing one tuple, td and sigma_1 inside their exp kernel and ch and c
-by lowest_terms; the weights top!/k! * D**(top-k) of ch, td
-and sigma_1 are cached per (top, D); c needs only D**(top-k), none at D = 1.
-ch's weighted numerators come from one helper, _character_numerators:
-chern_character reduces them into a class, and grr's chi_super pairs
-them unreduced with its cached curve class, so the calculator's path
-builds no ch and makes no gcd reduction.
-The power sums take one pass per root on P^r, adding n, n**2, .., n**top
-into one sum per degree.  A point or a curve (top <= 1) keeps the count
-and one sum: there the per-root loop would cost twice the C-level sum it
-replaces, on the calculator's hot path.
-
-The power sums and the exp recurrence of td, sigma_1 and its inverse
-run as straight-line kernels, generated and compiled by chowring's
-_compile_kernel on first use, once per size alone: per top degree for
-the power sums, per width for the recurrence; R lives in the rows.  A
-kernel costs O(top**2) once (chowring's docstring gives the figure for
-P^1..P^6), and stays below the cost of the rows it is built for: at top
-256 the recurrence compiles in 0.21 s, _todd_rows takes about 0.9 s.
+Each class runs as one straight-line kernel per top degree, generated
+by _class_kernel and compiled by chowring's _compile_kernel on first
+use.  It takes the numerators and D as arguments and does everything in
+one call: the power sums, the weights that put every degree over one
+denominator (top! * D**top for ch, D**top for c, top! * (R D)**top for
+td and sigma_1), the exp recurrence or the product of c, and the final
+gcd.  No cache is keyed by D or by a bundle; R and the rows are
+namespace constants.  A class equal at P = +1 and P = -1 (td, sigma_1,
+ch for s = 0, c for even s) is reduced once and returned as one tuple
+for both components.  sigma_1 and its inverse share one kernel through
+a sign argument.  grr's chi_super pairs the ch kernel's result as it is
+with its cached curve class, so ch has one path and builds no element
+there.  The power sums take one pass per root on P^r, adding n, n**2,
+.., n**top into one sum per degree; a point or a curve (top <= 1) keeps
+the count and one C-level sum, at half the cost on the calculator's
+hot path.
+A kernel costs O(top**2) once (chowring's docstring gives the figure
+for P^1..P^6), and stays below the cost of the rows it is built for:
+at top 256, td and sigma_1 compile in about 0.3 s each, the rows take
+about 1.5-1.9 s.
 """
 
 from __future__ import annotations
@@ -152,83 +150,36 @@ class SuperBundle(Value):
 
     def chern_character(self) -> GradedElement:
         """ch_k(E) = (p_k(a) - P * p_k(m)) / k!, that is (p_k(a) -+ p_k(m)) / k! at P = +-1."""
-        return GradedElement(self.model, *lowest_terms(*self._character_numerators()))
-
-    def _character_numerators(self) -> tuple[list[int], list[int], int]:
-        """ch at P = +1 and P = -1 as integer numerators over top! * D**top, unreduced.
-
-        Degree k is (p_k(a) -+ p_k(m)) * top!/k! * D**(top-k).  With no odd
-        root both components are one list.  chern_character reduces them;
-        chi_super pairs them as they are.
-        """
-        top = self.model.top_degree
-        weights = _factorial_weights(top, self.denominator)
-        power_sums = _power_sum_kernel(top)
-        even = power_sums(self.even)
-        if not self.odd:  # equal at P = +1 and P = -1
-            plus = [w * a for w, a in zip(weights, even)]
-            return plus, plus, weights[0]
-        odd = power_sums(self.odd)
-        return (
-            [w * (a - m) for w, a, m in zip(weights, even, odd)],
-            [w * (a + m) for w, a, m in zip(weights, even, odd)],
-            weights[0],
-        )
+        kernel = _class_kernel("ch", self.model.top_degree)
+        return GradedElement(self.model, *kernel(self.even, self.odd, self.denominator))
 
     def chern_total(self) -> GradedElement:
-        """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1.
-
-        c[k] is the coefficient of y**k = (x / D)**k.  Multiplying by 1 + n y
-        runs k downwards; dividing by 1 + n y runs k upwards, each c[k]
-        taking the new c[k - 1].  Over D**top, c[k] y**k is c[k] D**(top-k) x**k.
-        """
-        top = self.model.top_degree
-        c = [1] + [0] * top
-        for n in self.even:
-            for k in range(top, 0, -1):
-                c[k] += n * c[k - 1]
-        for n in self.odd:
-            for k in range(1, top + 1):
-                c[k] -= n * c[k - 1]
-        den = self.denominator
-        if den != 1:
-            c = [den ** (top - k) * x for k, x in enumerate(c)]
-        minus = [-x for x in c] if len(self.odd) % 2 else c
-        return GradedElement(self.model, *lowest_terms(c, minus, den**top))
+        """Total Chern class P**s * prod(1 + a_i) * prod(1 + m_j)**-1."""
+        kernel = _class_kernel("c", self.model.top_degree)
+        return GradedElement(self.model, *kernel(self.even, self.odd, self.denominator))
 
     def c1(self) -> SuperScalar:
         return self.chern_total().coefficient(1)
 
     def todd(self) -> GradedElement:
         """Multiplicative Todd character, 2**s * exp(tau . p(a) + upsilon . p(m))."""
-        top = self.model.top_degree
-        power_sums = _power_sum_kernel(top)
-        even, odd = power_sums(self.even), power_sums(self.odd)
-        row_den, tau, upsilon = _todd_rows(top)
-        exponent = [t * a + u * m for t, u, a, m in zip(tau, upsilon, even, odd)]
-        den = row_den * self.denominator
-        return _scaled_exp(self.model, exponent, den, scale=2 ** len(self.odd))
+        kernel = _class_kernel("td", self.model.top_degree)
+        return GradedElement(self.model, *kernel(self.even, self.odd, self.denominator))
 
     def sigma1(self) -> GradedElement:
         """prod_j (1 + e**m_j); the class of O + P*Sym^1 on each odd line."""
-        exponent, den = self._sigma1_exponent()
-        return _scaled_exp(self.model, exponent, den, scale=2 ** len(self.odd))
+        return self._sigma1(1)
 
     def sigma1_pair(self) -> tuple[GradedElement, GradedElement]:
-        """sigma1() = 2**s * exp(g) and its inverse 2**-s * exp(-g), from one exponent g."""
-        exponent, den = self._sigma1_exponent()
-        power = 2 ** len(self.odd)
-        inverse = _scaled_exp(self.model, [-e for e in exponent], den, divisor=power)
-        return _scaled_exp(self.model, exponent, den, scale=power), inverse
+        """sigma1() = 2**s * exp(g) and its inverse 2**-s * exp(-g), from one kernel."""
+        return self._sigma1(1), self._sigma1(-1)
 
-    def _sigma1_exponent(self) -> tuple[list[int], int]:
-        """The weighted exponent g of sigma1 and its denominator R * D (see _scaled_exp)."""
+    def _sigma1(self, sign: int) -> GradedElement:
+        """2**s * exp(g) for sign 1, 2**-s * exp(-g) for sign -1."""
         if self.even:
             raise NotPurelyOdd(f"rank {self.rank} bundle has an even part")
-        top = self.model.top_degree
-        odd = _power_sum_kernel(top)(self.odd)
-        row_den, row = _sigma1_row(top)
-        return [u * m for u, m in zip(row, odd)], row_den * self.denominator
+        kernel = _class_kernel("sigma1", self.model.top_degree)
+        return GradedElement(self.model, *kernel(self.odd, self.denominator, sign))
 
     # -- bundle operations ------------------------------------------------
 
@@ -317,72 +268,112 @@ def _parse_degrees(model: ChowModel, values) -> list[Fraction | int]:
 # -- rational series in the generator ---------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _power_sum_kernel(top: int):
-    """power_sums(numerators): [count, sum n, sum n**2, .., sum n**top], unrolled.
+@lru_cache(maxsize=128)
+def _class_kernel(name: str, top: int):
+    """The compiled kernel of class name (ch, c, td or sigma1) at top degree top.
 
-    Over a bundle's denominator D these are D**k * p_k of its degrees.
-    One pass per root multiplies its powers up once each.  A point or a
-    curve (top <= 1) takes the count and one C-level sum instead, at half
-    the cost of the pass on the calculator's hot path.  Compiled on first
-    use at O(top) cost: 3 ms at top 256.
+    ch, c and td take (even, odd, D), sigma1 takes (odd, D, sign); each
+    returns (plus, minus, den) in lowest terms, plus and minus one tuple
+    where the class is equal at P = +1 and P = -1.  Compiled on first use
+    at O(top**2) cost: td at top 64 in 20-30 ms, at top 256 in 0.3 s.
+    """
+    params, lines, constants = _CLASS_SOURCES[name](top)
+    return _compile_kernel(name, params, lines, {"gcd": gcd, **constants})
+
+
+def _power_sum_source(top: int, roots: str, out: str, first: int = 1) -> list[str]:
+    """Lines setting {out}k to sum n**k over the numerators roots, for k = first..top.
+
+    Over D these are D**k * p_k.  One pass per root multiplies its powers
+    up once each; a point or a curve (top <= 1) takes the count and one
+    C-level sum instead, at half the cost on the calculator's hot path.
     """
     if top < 2:
-        sums = ["len(numerators)", "sum(numerators)"][: top + 1]
-        return _compile_kernel("power_sums", "numerators", [f"return [{', '.join(sums)}]"])
-    sums = [f"s{k}" for k in range(1, top + 1)]
-    lines = [" = ".join(sums) + " = 0", "for n in numerators:"]
-    lines += ["    s1 += n", "    p = n * n", "    s2 += p"]
+        return [f"{out}0 = len({roots})", f"{out}1 = sum({roots})"][first : top + 1]
+    sums = [f"{out}{k}" for k in range(1, top + 1)]
+    lines = [" = ".join(sums) + " = 0", f"for n in {roots}:"]
+    lines += [f"    {out}1 += n", "    p = n * n", f"    {out}2 += p"]
     for k in range(3, top + 1):
-        lines += ["    p *= n", f"    s{k} += p"]
-    lines.append(f"return [len(numerators), {', '.join(sums)}]")
-    return _compile_kernel("power_sums", "numerators", lines)
+        lines += ["    p *= n", f"    {out}{k} += p"]
+    return lines + [f"{out}0 = len({roots})"] * (first == 0)
 
 
-@lru_cache(maxsize=64)
-def _factorial_weights(top: int, den: int) -> tuple[int, ...]:
-    """weights[k] = top!/k! * den**(top-k), which puts every degree over top! * den**top."""
-    weights = [1]
-    for k in range(top, 0, -1):
-        weights.append(weights[-1] * k * den)
-    weights.reverse()
-    return tuple(weights)
+def _weights_source(top: int, q: str) -> list[str]:
+    """Lines setting v{k} = top!/k! * q**(top-k) for 0 < k < top, each from the next, and den = v0.
 
-
-def _scaled_exp(
-    model: ChowModel, exponent: list[int], den: int, *, scale: int = 1, divisor: int = 1
-) -> GradedElement:
-    """scale / divisor * exp(g), in integers; equal at P = +1 and P = -1.
-
-    Where td and sigma_1 meet their 2**s or 2**-s factor.  In y = x / D,
-    g has no constant term and coefficients G_j / R: a cached row over R
-    times power sums over D.  The exponent is W_j = j R**(j-1) G_j, as
-    the rows carry it, and den is R * D.  Then f = exp(g) is
-    f_k = F_k / (k! (R D)**k) with F_0 = 1 and
-    F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j): the recurrence
-    k f_k = sum_j j g_j f_(k-j) cleared of denominators, put over
-    divisor top! (R D)**top by the cached factorial weights and reduced.
+    The weight of degree top is 1 and never multiplied in.
     """
-    weights = _factorial_weights(model.top_degree, den)
-    series, den = _exp_kernel(len(exponent))(exponent, scale, weights, weights[0] * divisor)
-    return GradedElement(model, series, series, den)
+    if not top:
+        return ["den = 1"]
+    weights = ["den"] + [f"v{k}" for k in range(1, top)]
+    factors = [q] + [f"{k} * {q}" for k in range(2, top + 1)]  # k * q, the factor 1 left out
+    lines = [f"{weights[top - 1]} = {factors[top - 1]}"]
+    for k in range(top - 1, 0, -1):
+        lines.append(f"{weights[k - 1]} = {weights[k]} * {factors[k - 1]}")
+    return lines
 
 
-@lru_cache(maxsize=64)
-def _exp_kernel(width: int):
-    """exp(w, f0, weights, den): _scaled_exp's series, weighted, over den in lowest terms.
+def _weigh_source(top: int, out: str) -> list[str]:
+    """Lines multiplying {out}k by its weight v{k} (den for k = 0), in place, for k < top."""
+    return [f"{out}{k} *= {f'v{k}' if k else 'den'}" for k in range(top)]
 
-    The series is F_0 = f0 and F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j),
-    the factor 1 of j = 1 left out: linear, so f0 scales every F_k.  The
-    kernel returns each weights[k] * F_k, and den, in lowest terms.  It
-    depends on its width alone, so td, sigma_1 and its inverse share it.
-    Each (k-1)!/(k-j)! is a name in its namespace, which holds nothing
-    else but gcd.  Compiled on first use at O(width**2) cost: 12 ms at
-    width 65, 0.21 s at width 257.
+
+def _ch_source(top: int):
+    """ch over top! * D**top: degree k is (a_k -+ m_k) * top!/k! * D**(top-k), a_k the power sums.
+
+    With no odd root both components are one tuple.
     """
-    constants = {"gcd": gcd}
-    lines = [", ".join([f"w{j}" for j in range(width)]) + ", = w"]
-    for k in range(1, width):
+    split = _power_sum_source(top, "odd", "m", 0)
+    for out, sign in (("p", "-"), ("q", "+")):
+        split += [f"{out}{k} = a{k} {sign} m{k}" for k in range(top + 1)] + _weigh_source(top, out)
+    split += _lowest_terms_source([[f"{out}{k}" for k in range(top + 1)] for out in "pq"])
+    lines = _power_sum_source(top, "even", "a", 0) + _weights_source(top, "D")
+    lines += ["if odd:", *[f"    {line}" for line in split]] + _weigh_source(top, "a")
+    lines += _lowest_terms_source([[f"a{k}" for k in range(top + 1)]], twice=True)
+    return "even, odd, D", lines, {}
+
+
+def _c_source(top: int):
+    """c over D**top: the product over the roots in y = x / D, then c_k y**k = c_k D**(top-k) x**k.
+
+    Multiplying by 1 + n y runs k downwards; dividing by 1 + n y runs k
+    upwards, each c_k taking the new c_(k-1).  Every coefficient stays an
+    integer.  At P = -1 the class is (-1)**s times its value at P = +1.
+    """
+    if top < 2:
+        lines = ["c1 = sum(even) - sum(odd)"] if top else []
+    else:
+        lines = [" = ".join([f"c{k}" for k in range(1, top + 1)]) + " = 0", "for n in even:"]
+        lines += [f"    c{k} += n * c{k - 1}" for k in range(top, 1, -1)] + ["    c1 += n"]
+        lines += ["for n in odd:", "    c1 -= n"]
+        lines += [f"    c{k} -= n * c{k - 1}" for k in range(2, top + 1)]
+    power = ["1", "D"] + [f"d{i}" for i in range(2, top + 1)]  # D**i
+    lines += [f"d{i} = {power[i - 1]} * D" for i in range(2, top + 1)]
+    lines += [f"c{k} *= {power[top - k]}" for k in range(1, top)] + [f"den = c0 = {power[top]}"]
+    every = ", ".join([f"c{k}" for k in range(top + 1)])
+    divided = ", ".join([f"c{k} // g" for k in range(top + 1)])
+    lines += [f"g = gcd(den, {every})", "if g != 1:", f"    {every}, den = {divided}, den // g"]
+    negated = ", ".join([f"-c{k}" for k in range(top + 1)])
+    lines += [f"t = ({every},)", "if len(odd) % 2:", f"    return t, ({negated},), den"]
+    return "even, odd, D", lines + ["return t, t, den"], {}
+
+
+def _exp_source(top: int, row_den: int, constants: dict) -> list[str]:
+    """f0 times exp of the weighted exponent w1..w_top, over top! * q**top = den, into f0..f_top.
+
+    In y = x / D the exponent g has coefficients G_j / R: a cached row over
+    R times power sums over D.  The exponent is W_j = j R**(j-1) G_j, as the
+    rows carry it, and q = R * D.  Then f = exp(g) is f_k = F_k / (k! q**k)
+    with F_0 = f0 and F_k = sum_j (k-1)!/(k-j)! W_j F_(k-j): the recurrence
+    k f_k = sum_j j g_j f_(k-j) cleared of denominators, the factor 1 of
+    j = 1 left out.  Each F_k is then weighted by top!/k! q**(top-k).
+    R is added to constants as r, and each (k-1)!/(k-j)! as c{k}_{j}.
+    """
+    if not top:
+        return ["den = 1"]
+    constants["r"] = row_den
+    lines = ["q = r * D"]
+    for k in range(1, top + 1):
         terms = [f"w1 * f{k - 1}"]
         falling = 1  # (k-1)!/(k-j)!
         for j in range(2, k + 1):
@@ -390,14 +381,42 @@ def _exp_kernel(width: int):
             constants[f"c{k}_{j}"] = falling
             terms.append(f"c{k}_{j} * w{j} * f{k - j}")
         lines.append(f"f{k} = {_sum_source(terms)}")
-    lines.append(", ".join([f"v{k}" for k in range(width)]) + ", = weights")
-    lines += [f"e{k} = v{k} * f{k}" for k in range(width)]
-    lines += _lowest_terms_source([[f"e{k}" for k in range(width)]])
-    return _compile_kernel("exp", "w, f0, weights, den", lines, constants)
+    return lines + _weights_source(top, "q") + _weigh_source(top, "f")
+
+
+def _td_source(top: int):
+    """td = 2**s * exp(tau . p(a) + upsilon . p(m)), the rows tau and upsilon named t_j and u_j."""
+    row_den, tau, upsilon = _todd_rows(top)
+    constants = {}
+    lines = _power_sum_source(top, "even", "a") + _power_sum_source(top, "odd", "m")
+    for j in range(1, top + 1):
+        constants[f"t{j}"], constants[f"u{j}"] = tau[j], upsilon[j]
+        lines.append(f"w{j} = t{j} * a{j} + u{j} * m{j}")
+    lines += ["f0 = 1 << len(odd)"] + _exp_source(top, row_den, constants)
+    lines += _lowest_terms_source([[f"f{k}" for k in range(top + 1)]], twice=True)
+    return "even, odd, D", lines, constants
+
+
+def _sigma1_source(top: int):
+    """sigma_1 = 2**s * exp(g) for sign 1, its inverse 2**-s * exp(-g) for sign -1, g = u . p(m)."""
+    row_den, row = _sigma1_row(top)
+    constants = {}
+    lines = _power_sum_source(top, "odd", "m")
+    for j in range(1, top + 1):
+        constants[f"u{j}"] = row[j]
+        lines.append(f"w{j} = u{j} * m{j}")
+    lines += ["if sign < 0:", *[f"    w{j} = -w{j}" for j in range(1, top + 1)]]
+    lines += ["    f0, divisor = 1, 1 << len(odd)", "else:", "    f0, divisor = 1 << len(odd), 1"]
+    lines += _exp_source(top, row_den, constants) + ["den *= divisor"]
+    lines += _lowest_terms_source([[f"f{k}" for k in range(top + 1)]], twice=True)
+    return "odd, D, sign", lines, constants
+
+
+_CLASS_SOURCES = {"ch": _ch_source, "c": _c_source, "td": _td_source, "sigma1": _sigma1_source}
 
 
 def _weighted_row(den: int, row: Sequence[int]) -> tuple[int, ...]:
-    """j * den**(j-1) * row[j] for each j: a row over den as the exp kernel takes it."""
+    """j * den**(j-1) * row[j] for each j: a row over den as the exp recurrence takes it."""
     weighted, power = [0], 1  # a log row has no constant term
     for j in range(1, len(row)):
         weighted.append(j * power * row[j])

@@ -207,6 +207,27 @@ def test_ring_mul_is_the_convolution_of_each_component(vectors, d1, d2, other_sh
     assert (product.minus is product.plus) == other_shares
 
 
+@given(same_width_vectors(3), st.integers(1, 2**40), st.integers(1, 2**40), st.booleans())
+@example([(1, 2), (3, 0), (1, 1)], 1, 5, False)
+def test_ring_mul_reduces_a_shared_factor(vectors, d1, d2, other_shares):
+    # x's numerators carry a factor f of y's denominator, so every product numerator and the
+    # product denominator share f: the kernel's divide path, which the draws above rarely reach
+    a, b, c = vectors
+    model = model_of_width(len(a))
+    factor = 2 + d2 % 97
+    scaled = tuple([factor * n for n in a])
+    x = GradedElement(model, scaled, scaled, d1)
+    y = GradedElement(model, b, b if other_shares else c, factor * d2)
+    product = x.ring_mul(y)
+    plus = convolution_by_loop(x.plus, y.plus)
+    minus = convolution_by_loop(x.minus, y.minus)
+    assert (product.plus, product.minus, product.denominator) == lowest_terms(
+        plus, minus, factor * d1 * d2
+    )
+    assert product.denominator <= d1 * d2
+    assert (product.minus is product.plus) == other_shares
+
+
 def test_a_sum_of_thousands_of_terms_compiles():
     # a chain of 3 000 + overflows the compiler's recursion; the emitter nests balanced halves
     terms = [f"a[{i}] * b[{4999 - i}]" for i in range(5000)]

@@ -32,7 +32,7 @@ SRC = Path(supergrr.__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "inspect")
 UNUSED_AT_IMPORT = ("typing", "pathlib", "json", "csv", "random", "supergrr.suites", "argparse")
 HELP_AND_ERROR_IMPORTS = ("argparse", "gettext", "locale")
-KERNEL_CACHES = ("_product_kernel", "_exp_kernel", "_power_sum_kernel")
+KERNEL_CACHES = ("_product_kernel", "_class_kernel")
 
 
 def _run_fresh(*args: str) -> subprocess.CompletedProcess:
@@ -99,22 +99,22 @@ WELL_FORMED = {
 
 
 def test_a_vdim_call_compiles_three_kernels():
-    # what a short process pays to compile: power sums at top 1, exp at width 2 and the
-    # unshared product at width 2; asking for each again afterwards compiles nothing more
+    # what a short process pays to compile: ch and td at top 1 and the unshared product at
+    # width 2; asking for each again afterwards compiles nothing more
     probe = (
         "import contextlib, io, supergrr.cli\n"
         "from supergrr.chowring import _product_kernel\n"
-        "from supergrr.superbundle import _exp_kernel, _power_sum_kernel\n"
+        "from supergrr.superbundle import _class_kernel\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = supergrr.cli.main({WELL_FORMED['vdim']!r})\n"
-        "caches = (_product_kernel, _exp_kernel, _power_sum_kernel)\n"
+        "caches = (_product_kernel, _class_kernel)\n"
         "compiled = [c.cache_info().misses for c in caches]\n"
-        "_product_kernel(2, False), _exp_kernel(2), _power_sum_kernel(1)\n"
+        "_product_kernel(2, False), _class_kernel('ch', 1), _class_kernel('td', 1)\n"
         "print(code, compiled, [c.cache_info().misses for c in caches])\n"
     )
     proc = _run_fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 [1, 1, 1] [1, 1, 1]\n"
+    assert proc.stdout == "0 [1, 2] [1, 2]\n"
 
 
 def _imported_by(*argv: str) -> set[str]:

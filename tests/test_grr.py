@@ -231,11 +231,11 @@ def test_chi_super_is_its_former_route_on_fractional_multi_root_draws():
     assert max(denominators) >= 60
 
 
-def test_chi_super_builds_no_element_and_reduces_nothing(monkeypatch):
-    """ch(U) is paired as its unreduced numerators: no GradedElement, no lowest_terms.
+def test_chi_super_builds_no_element(monkeypatch):
+    """ch(U) is paired as its kernel's triple: no GradedElement, no chowring reduction.
 
-    Once each curve's class and Todd class are cached, the only reduction
-    left on the path is the Fraction of the result.
+    Once each curve's class and Todd class are cached, the reductions left
+    on the path are the ch kernel's own and the Fraction of the result.
     """
     rng = random.Random(71)
     chi_cases = [random_supercurve_instance(rng) for _ in range(50)]

@@ -18,15 +18,7 @@ from supergrr import (
     SuperScalar,
 )
 from supergrr.chowring import integrate_product, lowest_terms
-from supergrr.superbundle import (
-    _exp_kernel,
-    _factorial_weights,
-    _power_sum_kernel,
-    _scaled_exp,
-    _sigma1_row,
-    _todd_rows,
-    _weighted_row,
-)
+from supergrr.superbundle import _class_kernel, _sigma1_row, _todd_rows, _weighted_row
 
 from shared import elt, tangent_todd
 
@@ -202,36 +194,85 @@ def test_dual_negates_degrees():
 # -- identity properties ----------------------------------------------------------------
 
 
-def test_factorial_weights_cache_is_bounded():
-    # the denominator comes from outside the program, so the weight cache must not grow with it
+def test_class_kernel_cache_is_bounded():
+    # the denominator comes from outside the program, so it is a kernel argument, never a key:
+    # 300 of them leave one kernel per (class, top)
     model = ChowModel.proj_space(2)
+    _class_kernel.cache_clear()
     for q in range(1, 301):
-        bundle = SuperBundle.from_degrees(model, [Fraction(1, q)])
-        assert bundle.chern_character() == elt(model, 1, Fraction(1, q), Fraction(1, 2 * q * q))
-    info = _factorial_weights.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert _factorial_weights(3, 7) == (6 * 7**3, 6 * 7**2, 3 * 7, 1)
-    assert type(_factorial_weights(3, 7)) is tuple
+        line = SuperBundle.from_degrees(model, [Fraction(1, q)])
+        assert line.chern_character() == elt(model, 1, Fraction(1, q), Fraction(1, 2 * q * q))
+        line.chern_total(), line.todd(), line.pi_shift().sigma1_pair()
+    info = _class_kernel.cache_info()
+    assert (info.currsize, info.misses) == (4, 4)
+    assert info.maxsize is not None
 
 
 NUMERATORS = st.lists(
-    st.one_of(st.integers(-60, 60), st.integers(-(2**60), 2**60)), max_size=6
+    st.one_of(st.integers(-60, 60), st.integers(-(2**90), 2**90)), max_size=6
 ).map(tuple)
 
 
-@given(st.integers(0, 24), st.lists(NUMERATORS, min_size=1, max_size=3))
-@example(0, [(), (5,)])
-@example(1, [(), (-(2**60),), (3, -7)])
-@example(2, [(), (-1,)])
-@example(8, [(2**60 - 1,), (), (-3, 4, -5)])
-@example(24, [(), (-(2**90),), (2**90, -3, 4, -5, 6, 7)])
-def test_power_sums_are_their_definition(top, lists):
-    # both branches, top <= 1 (a point or a curve) and the compiled kernel of each
-    # top >= 2 (P^r), give top + 1 sums per list
-    power_sums = _power_sum_kernel(top)
-    assert [power_sums(numerators) for numerators in lists] == [
-        [sum(n**k for n in numerators) for k in range(top + 1)] for numerators in lists
-    ]
+@st.composite
+def kernel_inputs(draw):
+    """(top, even, odd, D) for tops 0..24; D sometimes shares a factor with every numerator."""
+    top = draw(st.integers(0, 24))
+    factor = draw(st.sampled_from([1, 1, 2, 6, 2**40]))
+    even, odd = (tuple([factor * n for n in draw(NUMERATORS)]) for _ in range(2))
+    return top, even, odd, factor * draw(st.integers(1, 2**40))
+
+
+def power_sums(numerators, top):
+    return [sum(n**k for n in numerators) for k in range(top + 1)]
+
+
+def factorial_weights(top, q):
+    """top!/k! * q**(top-k) for k = 0..top, which puts every degree over top! * q**top."""
+    return [factorial(top) // factorial(k) * q ** (top - k) for k in range(top + 1)]
+
+
+@given(kernel_inputs())
+@example((0, (), (5,), 1))
+@example((1, (-(2**60),), (3, -7), 1))
+@example((2, (), (-1,), 1))
+@example((8, (2**60 - 1,), (), 6))
+@example((24, (-(2**90),), (2**90, -3, 4, -5, 6, 7), 2**40))
+def test_power_sums_are_their_definition(case):
+    # the ch kernel is the power sums by definition, weighted over top! * D**top and reduced,
+    # on both branches (top <= 1, a point or a curve, and the unrolled pass of each top >= 2);
+    # with no odd root both components are one tuple
+    top, even, odd, den = case
+    weights = factorial_weights(top, den)
+    a, m = power_sums(even, top), power_sums(odd, top)
+    plus = [w * (x - y) for w, x, y in zip(weights, a, m)]
+    minus = [w * (x + y) for w, x, y in zip(weights, a, m)] if odd else plus
+    character = _class_kernel("ch", top)(even, odd, den)
+    assert character == lowest_terms(plus, minus, weights[0])
+    assert (character[1] is character[0]) == (not odd)
+
+
+def chern_total_by_loop(even, odd, den, top):
+    """c = P**s * prod(1 + a_i y) / prod(1 + m_j y) in y = x / den, over den**top, reduced."""
+    c = [1] + [0] * top
+    for n in even:
+        for k in range(top, 0, -1):
+            c[k] += n * c[k - 1]
+    for n in odd:
+        for k in range(1, top + 1):
+            c[k] -= n * c[k - 1]
+    c = [den ** (top - k) * x for k, x in enumerate(c)]
+    return lowest_terms(c, [-x for x in c] if len(odd) % 2 else c, den**top)
+
+
+@given(kernel_inputs())
+@example((3, (2, 4), (6,), 2))
+@example((3, (2, 4), (6, 8), 2))
+def test_chern_total_kernel_is_its_loop(case):
+    # an even number of odd roots makes the class equal at P = +1 and P = -1: one tuple
+    top, even, odd, den = case
+    total = _class_kernel("c", top)(even, odd, den)
+    assert total == chern_total_by_loop(even, odd, den, top)
+    assert (total[1] is total[0]) == (len(odd) % 2 == 0)
 
 
 # -- the compiled kernels against their definitions --------------------------------
@@ -256,33 +297,44 @@ def exp_series_by_loop(exponent, row_den, scale):
     return series
 
 
+def unweighted(den, row):
+    """The row over den that _weighted_row weighted into row: entry j divided by j den**(j-1)."""
+    assert all(row[j] % (j * den ** (j - 1)) == 0 for j in range(1, len(row)))
+    return [0] + [row[j] // (j * den ** (j - 1)) for j in range(1, len(row))]
+
+
+def exp_class_by_loop(exponent, row_den, den, scale, divisor):
+    """scale / divisor * exp(g), g_j = exponent[j] / (R D**j): (both, both, den) in lowest terms."""
+    top = len(exponent) - 1
+    weights = factorial_weights(top, row_den * den)
+    terms = [w * f for w, f in zip(weights, exp_series_by_loop(exponent, row_den, scale))]
+    return lowest_terms(terms, terms, weights[0] * divisor)
+
+
+@given(kernel_inputs())
+@example((1, (3,), (), 1))
+@example((6, (2**40, 6), (2**41,), 2**40))
+def test_exp_kernel_is_its_recurrence(case):
+    # td = 2**s exp(tau . p(a) + upsilon . p(m)); sigma_1 = 2**s exp(upsilon' . p(m)) for sign 1
+    # and 2**-s exp(-upsilon' . p(m)) for sign -1; each returns one tuple for both components
+    top, even, odd, den = case
+    a, m = power_sums(even, top), power_sums(odd, top)
+    row_den, tau, upsilon = _todd_rows(top)
+    tau, upsilon = unweighted(row_den, tau), unweighted(row_den, upsilon)
+    exponent = [t * x + u * y for t, u, x, y in zip(tau, upsilon, a, m)]
+    todd = _class_kernel("td", top)(even, odd, den)
+    assert todd == exp_class_by_loop(exponent, row_den, den, 2 ** len(odd), 1)
+    row_den, row = _sigma1_row(top)
+    exponent = [u * y for u, y in zip(unweighted(row_den, row), m)]
+    sigma1 = _class_kernel("sigma1", top)(odd, den, 1)
+    assert sigma1 == exp_class_by_loop(exponent, row_den, den, 2 ** len(odd), 1)
+    inverse = _class_kernel("sigma1", top)(odd, den, -1)
+    negated = [-g for g in exponent]
+    assert inverse == exp_class_by_loop(negated, row_den, den, 1, 2 ** len(odd))
+    assert todd[1] is todd[0] and sigma1[1] is sigma1[0] and inverse[1] is inverse[0]
+
+
 BIG = st.integers(-(2**90), 2**90)
-
-
-@st.composite
-def exp_cases(draw):
-    top = draw(st.integers(1, 24))
-    row_den = draw(st.sampled_from([_todd_rows(top)[0], _sigma1_row(top)[0]]))
-    exponent = [0] + draw(st.lists(BIG, min_size=top, max_size=top))
-    return top, row_den, exponent
-
-
-@given(exp_cases(), st.integers(1, 2**20), st.integers(1, 2**40), st.integers(1, 2**40))
-def test_exp_kernel_is_its_recurrence(case, den, scale, divisor):
-    # td and sigma_1 pass scale = 2**s, the inverse of sigma_1 passes divisor = 2**s;
-    # the kernel takes the exponent weighted by j R**(j-1), as the cached rows carry it
-    top, row_den, exponent = case
-    series = exp_series_by_loop(exponent, row_den, scale)
-    weighted = [0] + [j * row_den ** (j - 1) * exponent[j] for j in range(1, top + 1)]
-    weights = _factorial_weights(top, row_den * den)
-    denominator = weights[0] * divisor
-    terms = [w * f for w, f in zip(weights, series)]
-    both, _, reduced = lowest_terms(terms, terms, denominator)
-    assert _exp_kernel(top + 1)(weighted, scale, weights, denominator) == (both, reduced)
-    model = ChowModel.proj_space(top)
-    built = _scaled_exp(model, weighted, row_den * den, scale=scale, divisor=divisor)
-    over = [divisor * factorial(k) * (row_den * den) ** k for k in range(top + 1)]
-    assert built == GradedElement.from_coeffs(model, map(Fraction, series, over))
 
 
 @st.composite
@@ -301,9 +353,8 @@ def test_weighted_row_is_its_definition(case):
 
 def exp_of_weighted_row(den, row):
     """exp of the series sum_j row_j / den x**j, from a row weighted by _weighted_row."""
-    weights = _factorial_weights(len(row) - 1, den)
-    series, over = _exp_kernel(len(row))(row, 1, weights, weights[0])
-    return [Fraction(f, over) for f in series]
+    series = exp_series_by_loop(unweighted(den, row), den, 1)
+    return [Fraction(f, factorial(k) * den**k) for k, f in enumerate(series)]
 
 
 @pytest.mark.parametrize("top", [1, 2, 5, 12, 24])
@@ -320,28 +371,47 @@ def test_cached_rows_are_the_logarithms_of_their_series(top):
     assert exp_of_weighted_row(*_sigma1_row(top)) == half
 
 
-def test_td_and_sigma1_share_one_exp_kernel_per_width():
-    # curves and P^1 share width 2; every name in a kernel's namespace but gcd is (k-1)!/(k-j)!
-    _exp_kernel.cache_clear()
+def test_one_kernel_per_class_and_top():
+    # curves and P^1 share top 1; a kernel's namespace holds gcd, its row entries over r = R
+    # and each (k-1)!/(k-j)! as c{k}_{j}, nothing else
+    _class_kernel.cache_clear()
     models = [C0, C2] + [ChowModel.proj_space(r) for r in range(1, 7)]
     for model in models:
-        SuperBundle.from_degrees(model, [1, Fraction(-2, 3)], [5]).todd()
+        for odd in ([5], [5, Fraction(1, 2)]):
+            bundle = SuperBundle.from_degrees(model, [1, Fraction(-2, 3)], odd)
+            bundle.chern_character(), bundle.chern_total(), bundle.todd()
+        SuperBundle.from_degrees(model, [1]).chern_character()
         SuperBundle.from_degrees(model, [], [3, Fraction(1, 2)]).sigma1_pair()
-    assert _exp_kernel.cache_info().currsize == 6
-    for width in range(2, 8):
-        kernel = _exp_kernel(width)
-        constants = {
-            name: value
-            for name, value in kernel.__globals__.items()
-            if name not in ("__builtins__", kernel.__name__, "gcd")
+    assert _class_kernel.cache_info().currsize == 24
+    for top in range(1, 7):
+        row_den, tau, upsilon = _todd_rows(top)
+        sigma_den, sigma_row = _sigma1_row(top)
+        degrees = range(1, top + 1)
+        rows = {
+            "ch": {},
+            "c": {},
+            "td": {
+                "r": row_den,
+                **{f"t{j}": tau[j] for j in degrees},
+                **{f"u{j}": upsilon[j] for j in degrees},
+            },
+            "sigma1": {"r": sigma_den, **{f"u{j}": sigma_row[j] for j in degrees}},
         }
-        assert kernel.__globals__["gcd"] is gcd
-        assert len(constants) == (width - 1) * (width - 2) // 2
-        for name, value in constants.items():
-            k, j = map(int, re.fullmatch(r"c(\d+)_(\d+)", name).groups())
-            assert 2 <= j <= k < width
-            assert value == factorial(k - 1) // factorial(k - j)
-    assert _exp_kernel.cache_info().currsize == 6
+        for name, row in rows.items():
+            kernel = _class_kernel(name, top)
+            assert kernel.__globals__["gcd"] is gcd
+            constants = {
+                key: value
+                for key, value in kernel.__globals__.items()
+                if key not in ("__builtins__", name, "gcd", *row)
+            }
+            assert {key: kernel.__globals__.get(key) for key in row} == row
+            assert len(constants) == (top * (top - 1) // 2 if row else 0)
+            for key, value in constants.items():
+                k, j = map(int, re.fullmatch(r"c(\d+)_(\d+)", key).groups())
+                assert 2 <= j <= k <= top
+                assert value == factorial(k - 1) // factorial(k - j)
+    assert _class_kernel.cache_info().currsize == 24
 
 
 # -- large top degrees: kernel constants come from the namespace, not the source --------
